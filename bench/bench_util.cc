@@ -87,16 +87,4 @@ void StampProfile(obs::RunReport* report, const std::string& path) {
   }
 }
 
-bool SetExecModeFromFlag(const std::string& value) {
-  exec::ExecMode mode;
-  if (!exec::ParseExecMode(value, &mode)) {
-    std::fprintf(stderr,
-                 "unknown --exec value '%s' (expected scalar|batched)\n",
-                 value.c_str());
-    return false;
-  }
-  exec::SetDefaultExecMode(mode);
-  return true;
-}
-
 }  // namespace snb::bench

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "datagen/datagen.h"
-#include "exec/exec_mode.h"
 #include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "schema/dictionaries.h"
@@ -57,18 +56,6 @@ void PrintKv(const std::string& label, const std::string& value);
 /// Simple ASCII bar for distribution plots: `value` scaled to `max_value`
 /// over `width` characters.
 std::string Bar(double value, double max_value, int width = 50);
-
-/// Parses a `--exec=scalar|batched` style value and installs it as the
-/// process-wide default engine; false (with a stderr message) on an
-/// unknown value. Benches and tools share this so the flag spelling stays
-/// uniform.
-bool SetExecModeFromFlag(const std::string& value);
-
-/// Stamps the report with the engine that produced it (report.json
-/// "exec_mode", schema snb-report-v3 superset field).
-inline void StampExecMode(obs::RunReport* report) {
-  report->exec_mode = exec::ExecModeName(exec::DefaultExecMode());
-}
 
 /// Handles a `--perf-counters` flag: probes and enables the
 /// hardware-counter backend and prints the outcome. Safe where

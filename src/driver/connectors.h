@@ -56,9 +56,8 @@ class StoreConnector : public Connector {
   /// trace span, nesting inside the seeding complex read's span.
   /// `dossiers` may be null; when set, every executed operation is offered
   /// to the collector with its whole-op hardware-counter delta, and Q9
-  /// additionally runs through its profiled plan so tail dossiers carry a
-  /// per-operator breakdown (results are identical to Query9 — see
-  /// queries/query9_plans.h).
+  /// runs with an operator profile attached so tail dossiers carry a
+  /// per-operator breakdown of the same serving plan.
   StoreConnector(store::GraphStore* store,
                  const std::vector<datagen::UpdateOperation>* updates,
                  const schema::Dictionaries* dictionaries,

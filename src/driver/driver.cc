@@ -239,9 +239,6 @@ DriverReport FinishReport(const RunState& state, double elapsed_seconds,
           : 0.0;
   report.max_schedule_lag_ms =
       static_cast<double>(state.max_lag_us.load()) / 1000.0;
-  report.sustained = config.acceleration <= 0.0 ||
-                     report.max_schedule_lag_ms <=
-                         config.sustained_lag_threshold_ms;
   report.dependencies_tracked = state.dependencies_tracked.load();
   report.dependent_waits = state.dependent_waits.load();
   report.lag_timeline_ms = state.lag_timeline.Snapshot();
@@ -420,7 +417,6 @@ obs::DriverSection MakeDriverSection(const DriverReport& report) {
   section.elapsed_seconds = report.elapsed_seconds;
   section.ops_per_second = report.ops_per_second;
   section.max_schedule_lag_ms = report.max_schedule_lag_ms;
-  section.sustained = report.sustained;
   section.dependencies_tracked = report.dependencies_tracked;
   section.dependent_waits = report.dependent_waits;
   section.lag_timeline_ms = report.lag_timeline_ms;

@@ -24,7 +24,7 @@
 //
 // The driver can replay the stream as fast as possible (acceleration == 0)
 // or throttle it to a fixed acceleration factor (simulation time / real
-// time), reporting whether the pace was sustained — the benchmark's metric.
+// time), auditing schedule compliance — the benchmark's metric.
 #ifndef SNB_DRIVER_DRIVER_H_
 #define SNB_DRIVER_DRIVER_H_
 
@@ -59,9 +59,6 @@ struct DriverConfig {
   /// throughput). 1.0 replays in real time; 2.0 twice as fast as the
   /// simulation timeline.
   double acceleration = 0.0;
-  /// Max scheduling lag (real ms) before a throttled run counts as not
-  /// sustained.
-  double sustained_lag_threshold_ms = 1000.0;
   /// Optional metrics sink. When set, the driver records per-operation
   /// scheduling lag (driver.sched_lag) and T_GC dependent-wait time
   /// (driver.gct_wait) as latency series, and accumulates the run's
@@ -100,15 +97,14 @@ struct DriverReport {
   uint64_t dependencies_tracked = 0;
   /// Operations that had to consult T_GC before executing.
   uint64_t dependent_waits = 0;
-  /// True when a throttled run kept max lag under the threshold.
-  bool sustained = true;
   /// Scheduling-lag time series for throttled runs: (scheduled second of
   /// the run, max lag ms among operations due within that second). Empty
   /// when unthrottled; bounded — long runs are downsampled to a fixed
   /// number of slots (see LagTimeline), so the resolution coarsens but
   /// memory does not grow with run length.
   std::vector<std::pair<double, double>> lag_timeline_ms;
-  /// Schedule-compliance audit; populated only for throttled runs.
+  /// Schedule-compliance audit; populated only for throttled runs. Its
+  /// `passed` flag is the run's one pace verdict.
   bool has_compliance = false;
   obs::ComplianceSection compliance;
 };

@@ -1,6 +1,6 @@
 // Block-at-a-time execution: the column batch and the operator interface.
 //
-// The scalar query plans (queries/complex_queries.cc) are row-at-a-time:
+// Most query plans in queries/complex_queries.cc are row-at-a-time:
 // every tuple crosses an operator boundary through a lambda call, touching
 // scattered records as it goes. The batched engine moves fixed-size blocks
 // of column vectors instead — an operator fills a Batch of up to

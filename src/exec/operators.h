@@ -46,8 +46,8 @@ TwoHopStats ExpandTwoHopSorted(const store::GraphStore& store,
 /// newest min(qualifying, per_person_limit) rows are emitted — when the
 /// consumer is a top-`limit` sink ordered by (date desc, id asc), rows
 /// beyond the newest `limit` of one person can never reach the global
-/// top `limit`, so skipping them is exact (the scalar Q9 applies the same
-/// truncation). Pass per_person_limit = SIZE_MAX for an unbounded scan.
+/// top `limit`, so skipping them is exact. Pass per_person_limit =
+/// SIZE_MAX for an unbounded scan.
 ///
 /// The date cut is a binary search on the inline date column of the
 /// adjacency entries (the index is date-ascending): no message record is

@@ -360,11 +360,6 @@ std::string ToJson(const RunReport& report) {
   AppendKey(&out, "title");
   AppendEscaped(&out, report.title);
   out += ",";
-  if (!report.exec_mode.empty()) {
-    AppendKey(&out, "exec_mode");
-    AppendEscaped(&out, report.exec_mode);
-    out += ",";
-  }
 
   // Per-op-type latency table (Tables 6/7/9 layout).
   AppendKey(&out, "ops");
@@ -444,9 +439,6 @@ std::string ToJson(const RunReport& report) {
     out += ",";
     AppendKey(&out, "max_schedule_lag_ms");
     AppendDouble(&out, d.max_schedule_lag_ms);
-    out += ",";
-    AppendKey(&out, "sustained");
-    out += d.sustained ? "true" : "false";
     out += ",";
     AppendKey(&out, "dependencies_tracked");
     AppendU64(&out, d.dependencies_tracked);
@@ -956,12 +948,6 @@ util::Status ValidateReportJson(const std::string& json) {
        schema->string != "snb-report-v4" &&
        schema->string != "snb-report-v5")) {
     return util::Status::InvalidArgument("missing/unknown schema tag");
-  }
-  const JsonValue* exec_mode = root.Find("exec_mode");
-  if (exec_mode != nullptr && (exec_mode->kind != JsonValue::Kind::kString ||
-                               exec_mode->string.empty())) {
-    return util::Status::InvalidArgument(
-        "exec_mode must be a non-empty string when present");
   }
   const JsonValue* ops = root.Find("ops");
   if (ops == nullptr || ops->kind != JsonValue::Kind::kArray) {

@@ -23,7 +23,11 @@
 // optional "profile" section (sampling-profiler accounting + top frames
 // per op, see src/obs/prof.h) — and the validator still accepts v1–v4
 // documents, so pre-existing readers and archived baselines keep
-// working. A deliberately small JSON parser is exposed for tests and
+// working. Two keys older writers emitted are gone and ignored when read:
+// the driver section's "sustained" flag (a max-lag rule that could
+// disagree with the compliance audit, which is now the one pace verdict)
+// and the top-level engine tag (every query has one serving plan). A
+// deliberately small JSON parser is exposed for tests and
 // validation; it handles exactly what the writer emits (objects,
 // arrays, strings, finite numbers, bools, null).
 #ifndef SNB_OBS_REPORT_H_
@@ -72,7 +76,6 @@ struct DriverSection {
   double elapsed_seconds = 0.0;
   double ops_per_second = 0.0;
   double max_schedule_lag_ms = 0.0;
-  bool sustained = true;
   uint64_t dependencies_tracked = 0;
   uint64_t dependent_waits = 0;
   /// Scheduling-lag time series: (elapsed real second, max lag ms within
@@ -210,12 +213,6 @@ ProfileSection MakeProfileSection(const prof::FoldedProfile& profile,
 
 struct RunReport {
   std::string title;
-  /// Execution engine the run used for the batched-capable queries
-  /// ("scalar" or "batched", exec::ExecModeName). Optional — omitted from
-  /// the JSON when empty, so pre-existing readers and archived baselines
-  /// are unaffected (the field is an in-place superset extension per the
-  /// evolution rule above).
-  std::string exec_mode;
   MetricsSnapshot metrics;
   bool has_driver = false;
   DriverSection driver;

@@ -6,8 +6,13 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "exec/exec_mode.h"
-#include "queries/batched_queries.h"
+#include "exec/batch.h"
+#include "exec/hash_join.h"
+#include "exec/intersect.h"
+#include "exec/operators.h"
+#include "obs/trace.h"
+#include "queries/query9_plans.h"
+#include "store/adjacency_blocks.h"
 
 namespace snb::queries {
 namespace {
@@ -257,52 +262,63 @@ std::vector<Q4Result> Query4(const GraphStore& store, PersonId start,
 }
 
 // ---- Q5 -----------------------------------------------------------------------
+//
+// The comparator (count desc, forum asc) is a total order over distinct
+// forum ids, so the bounded heap equals full-sort + truncate.
 
 std::vector<Q5Result> Query5(const GraphStore& store, PersonId start,
                              TimestampMs min_date, int limit) {
-  if (exec::DefaultExecMode() == exec::ExecMode::kBatched) {
-    return Query5Batched(store, start, min_date, limit);
-  }
-  return Query5Scalar(store, start, min_date, limit);
-}
-
-std::vector<Q5Result> Query5Scalar(const GraphStore& store, PersonId start,
-                                   TimestampMs min_date, int limit) {
   auto pin = store.ReadLock();
-  std::vector<PersonId> circle = TwoHopCircleLocked(store, pin, start);
-  std::unordered_set<PersonId> circle_set(circle.begin(), circle.end());
+  std::vector<uint64_t> circle;
+  exec::ExpandTwoHopSorted(store, pin, start, &circle);
 
-  // Forums joined by circle members after min_date.
-  std::unordered_set<schema::ForumId> new_forums;
-  for (PersonId pid : circle) {
+  // Hash-join build side: circle membership.
+  exec::HashSet64 circle_set(circle.size());
+  for (uint64_t pid : circle) circle_set.Insert(pid);
+
+  // Forums joined by circle members after min_date (dedup via sort: the
+  // candidate list is small and already clusters by forum id).
+  std::vector<uint64_t> forums;
+  for (uint64_t pid : circle) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
     for (const DatedEdge& membership : p->forums.view()) {
-      if (membership.date > min_date) new_forums.insert(membership.id);
+      if (membership.date > min_date) forums.push_back(membership.id);
     }
   }
-  // Rank by posts in the forum created by circle members.
-  std::vector<Q5Result> results;
-  results.reserve(new_forums.size());
-  for (schema::ForumId fid : new_forums) {
+  std::sort(forums.begin(), forums.end());
+  forums.erase(std::unique(forums.begin(), forums.end()), forums.end());
+
+  auto less = [](const Q5Result& a, const Q5Result& b) {
+    if (a.post_count != b.post_count) return a.post_count > b.post_count;
+    return a.forum_id < b.forum_id;
+  };
+  exec::TopK<Q5Result, decltype(less)> top(static_cast<size_t>(limit), less);
+
+  // Probe side: per forum, gather post creators block-at-a-time and count
+  // circle hits.
+  exec::Batch batch;
+  uint32_t sel[exec::kBatchCapacity];
+  for (uint64_t fid : forums) {
     const store::ForumRecord* forum = store.FindForum(pin, fid);
     if (forum == nullptr) continue;
+    auto posts = forum->posts.view();
     uint32_t count = 0;
-    for (MessageId mid : forum->posts.view()) {
-      const MessageRecord* m = store.FindMessage(pin, mid);
-      if (m != nullptr && circle_set.count(m->data.creator_id) > 0) ++count;
+    size_t i = 0;
+    while (i < posts.size()) {
+      size_t n = std::min(exec::kBatchCapacity, posts.size() - i);
+      batch.clear();
+      for (size_t t = 0; t < n; ++t) {
+        const MessageRecord* m = store.FindMessage(pin, posts[i + t]);
+        if (m != nullptr) batch.b[batch.size++] = m->data.creator_id;
+      }
+      i += n;
+      count += static_cast<uint32_t>(
+          circle_set.ProbeBatch(batch.b, batch.size, sel));
     }
-    results.push_back({fid, count});
+    top.Push({fid, count});
   }
-  std::sort(results.begin(), results.end(),
-            [](const Q5Result& a, const Q5Result& b) {
-              if (a.post_count != b.post_count) {
-                return a.post_count > b.post_count;
-              }
-              return a.forum_id < b.forum_id;
-            });
-  if (static_cast<int>(results.size()) > limit) results.resize(limit);
-  return results;
+  return top.Drain();
 }
 
 // ---- Q6 -----------------------------------------------------------------------
@@ -405,38 +421,53 @@ std::vector<Q8Result> Query8(const GraphStore& store, PersonId start,
 }
 
 // ---- Q9 -----------------------------------------------------------------------
+//
+// Message ids are unique, so (date desc, id asc) is a total order and the
+// bounded heap equals full-sort + truncate.
 
 std::vector<Q9Result> Query9(const GraphStore& store, PersonId start,
-                             TimestampMs max_date, int limit) {
-  if (exec::DefaultExecMode() == exec::ExecMode::kBatched) {
-    return Query9Batched(store, start, max_date, limit);
-  }
-  return Query9Scalar(store, start, max_date, limit);
-}
-
-std::vector<Q9Result> Query9Scalar(const GraphStore& store, PersonId start,
-                                   TimestampMs max_date, int limit) {
+                             TimestampMs max_date, int limit,
+                             Q9PlanStats* stats, Q9OperatorProfile* profile) {
   auto pin = store.ReadLock();
-  std::vector<Q9Result> candidates;
-  for (PersonId pid : TwoHopCircleLocked(store, pin, start)) {
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    auto messages = p->messages.view();
-    size_t upper = UpperBoundByDate(messages, max_date - 1);
-    size_t take = std::min<size_t>(upper, static_cast<size_t>(limit));
-    for (size_t i = upper - take; i < upper; ++i) {
-      candidates.push_back({messages[i].id, pid, messages[i].date});
+  Q9PlanStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  *stats = Q9PlanStats();
+  auto sink = [profile](obs::OperatorStats Q9OperatorProfile::* member) {
+    return profile == nullptr ? nullptr : &(profile->*member);
+  };
+
+  std::vector<uint64_t> circle;
+  exec::TwoHopStats hop = exec::ExpandTwoHopSorted(
+      store, pin, start, &circle, sink(&Q9OperatorProfile::join1),
+      sink(&Q9OperatorProfile::join2));
+  stats->join1_output = hop.direct;
+  stats->join2_output = hop.fof_tuples;
+
+  auto less = [](const Q9Result& a, const Q9Result& b) {
+    if (a.creation_date != b.creation_date) {
+      return a.creation_date > b.creation_date;
     }
+    return a.message_id < b.message_id;
+  };
+  exec::TopK<Q9Result, decltype(less)> top(static_cast<size_t>(limit), less);
+
+  exec::MessageScanOperator scan(store, pin, circle, max_date,
+                                 static_cast<size_t>(limit),
+                                 sink(&Q9OperatorProfile::join3));
+  exec::Batch batch;
+  while (scan.Next(&batch)) {
+    obs::TraceSpan span(sink(&Q9OperatorProfile::sort_limit), "sort_limit");
+    for (size_t r = 0; r < batch.size; ++r) {
+      top.Push({batch.a[r], batch.b[r], batch.date[r]});
+    }
+    span.AddRows(batch.size);
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Q9Result& a, const Q9Result& b) {
-              if (a.creation_date != b.creation_date) {
-                return a.creation_date > b.creation_date;
-              }
-              return a.message_id < b.message_id;
-            });
-  if (static_cast<int>(candidates.size()) > limit) candidates.resize(limit);
-  return candidates;
+  stats->join3_output = scan.rows_emitted();
+
+  obs::TraceSpan span(sink(&Q9OperatorProfile::sort_limit), "sort_limit");
+  std::vector<Q9Result> out = top.Drain();
+  span.AddRows(out.size());
+  return out;
 }
 
 // ---- Q10 ----------------------------------------------------------------------
@@ -628,49 +659,49 @@ int Query13(const GraphStore& store, PersonId person1, PersonId person2) {
 
 namespace {
 
-/// Interaction weight between two persons: each comment by one replying to
-/// a post of the other adds 1.0, to a comment of the other adds 0.5.
-double PairWeight(const GraphStore& store, const store::ShardSnapshot& pin,
-                  PersonId a, PersonId b) {
-  double weight = 0.0;
-  for (PersonId from : {a, b}) {
-    PersonId to = from == a ? b : a;
-    const PersonRecord* p = store.FindPerson(pin, from);
-    if (p == nullptr) continue;
-    for (const DatedEdge& e : p->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind != MessageKind::kComment) continue;
-      const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
-      if (parent == nullptr || parent->data.creator_id != to) continue;
-      weight += parent->data.kind == MessageKind::kComment ? 0.5 : 1.0;
+/// Cap on enumerated shortest paths per query.
+constexpr size_t kMaxPaths = 1000;
+
+/// All shortest Knows-paths person1 -> person2, capped at kMaxPaths, in
+/// parent-DAG DFS order (parents ascending by id). Distance 1 and 2 take
+/// kernel fast paths; the general case runs a BFS building the parent DAG,
+/// then an iterative DFS over it.
+///
+/// The distance-2 fast path is exact: the BFS would fully process every
+/// depth-1 node before its `d >= target_dist` cut, so parents(person2) is
+/// ALL mutual friends; the DFS sorts parents ascending and each middle has
+/// the single parent person1, so paths enumerate in ascending middle-id
+/// order — which is exactly Intersect(friends(p1), friends(p2)) read left
+/// to right, including where a kMaxPaths cut lands.
+std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
+                                                 const store::ShardSnapshot& pin,
+                                                 PersonId person1,
+                                                 PersonId person2) {
+  std::vector<std::vector<PersonId>> paths;
+  const PersonRecord* p1 = store.FindPerson(pin, person1);
+  const PersonRecord* p2 = store.FindPerson(pin, person2);
+  std::vector<uint64_t> f1;
+  store::CopyFriendIds(p1->friends.view(), &f1);
+  if (std::binary_search(f1.begin(), f1.end(), person2)) {
+    paths.push_back({person1, person2});
+    return paths;
+  }
+  std::vector<uint64_t> f2;
+  store::CopyFriendIds(p2->friends.view(), &f2);
+  std::vector<uint64_t> mid(std::min(f1.size(), f2.size()));
+  size_t n =
+      exec::Intersect(f1.data(), f1.size(), f2.data(), f2.size(), mid.data());
+  if (n > 0) {
+    size_t take = std::min(n, kMaxPaths);
+    paths.reserve(take);
+    for (size_t i = 0; i < take; ++i) {
+      paths.push_back({person1, mid[i], person2});
     }
+    return paths;
   }
-  return weight;
-}
 
-}  // namespace
-
-std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
-                               PersonId person2) {
-  if (exec::DefaultExecMode() == exec::ExecMode::kBatched) {
-    return Query14Batched(store, person1, person2);
-  }
-  return Query14Scalar(store, person1, person2);
-}
-
-std::vector<Q14Result> Query14Scalar(const GraphStore& store,
-                                     PersonId person1, PersonId person2) {
-  auto pin = store.ReadLock();
-  std::vector<Q14Result> results;
-  if (store.FindPerson(pin, person1) == nullptr ||
-      store.FindPerson(pin, person2) == nullptr) {
-    return results;
-  }
-  if (person1 == person2) {
-    results.push_back({{person1}, 0.0});
-    return results;
-  }
-  // BFS from person1 building the shortest-path parent DAG.
+  // Distance >= 3: BFS building the shortest-path parent DAG, then an
+  // iterative DFS enumerating paths backwards from person2.
   std::unordered_map<PersonId, int> dist{{person1, 0}};
   std::unordered_map<PersonId, std::vector<PersonId>> parents;
   std::deque<PersonId> queue{person1};
@@ -694,13 +725,8 @@ std::vector<Q14Result> Query14Scalar(const GraphStore& store,
       }
     }
   }
-  if (target_dist < 0) return results;
+  if (target_dist < 0) return paths;
 
-  // Enumerate all shortest paths backwards from person2 (bounded).
-  constexpr size_t kMaxPaths = 1000;
-  std::vector<std::vector<PersonId>> paths;
-  std::vector<PersonId> current{person2};
-  // Iterative DFS over the parent DAG.
   struct Frame {
     PersonId node;
     size_t next_parent;
@@ -727,13 +753,94 @@ std::vector<Q14Result> Query14Scalar(const GraphStore& store,
     PersonId parent = ps[frame.next_parent++];
     stack.push_back({parent, 0});
   }
+  return paths;
+}
+
+}  // namespace
+
+// Weights: each distinct path person's comment list is scanned ONCE and
+// accumulated into a flat hash map of the needed {u, v} pairs, instead of
+// re-scanning both comment lists per path edge. Every contribution is a
+// dyadic rational (0.5 or 1.0) and every partial sum stays far below 2^52,
+// so IEEE addition is exact and grouping cannot change the result: the
+// weights are bit-equal to a per-edge sum (validate::Oracle's formulation).
+
+std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
+                               PersonId person2) {
+  auto pin = store.ReadLock();
+  std::vector<Q14Result> results;
+  if (store.FindPerson(pin, person1) == nullptr ||
+      store.FindPerson(pin, person2) == nullptr) {
+    return results;
+  }
+  if (person1 == person2) {
+    results.push_back({{person1}, 0.0});
+    return results;
+  }
+  std::vector<std::vector<PersonId>> paths =
+      ShortestPaths(store, pin, person1, person2);
+  if (paths.empty()) return results;
+
+  // Distinct persons on any path, id-sorted, as the pair-index domain.
+  std::vector<uint64_t> persons;
+  for (const auto& path : paths) {
+    persons.insert(persons.end(), path.begin(), path.end());
+  }
+  std::sort(persons.begin(), persons.end());
+  persons.erase(std::unique(persons.begin(), persons.end()), persons.end());
+  auto index_of = [&persons](uint64_t id) -> size_t {
+    auto it = std::lower_bound(persons.begin(), persons.end(), id);
+    if (it == persons.end() || *it != id) return persons.size();
+    return static_cast<size_t>(it - persons.begin());
+  };
+  auto pair_key = [&persons](size_t u, size_t v) -> uint64_t {
+    return static_cast<uint64_t>(std::min(u, v)) * persons.size() +
+           std::max(u, v);
+  };
+
+  // Build side: every consecutive pair that occurs on any path, mapped to
+  // an accumulator slot.
+  exec::HashMap64 pair_index;
+  std::vector<double> pair_weight;
+  for (const auto& path : paths) {
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      uint64_t key = pair_key(index_of(path[i]), index_of(path[i + 1]));
+      if (pair_index.Find(key) == nullptr) {
+        pair_index.Put(key, pair_weight.size());
+        pair_weight.push_back(0.0);
+      }
+    }
+  }
+
+  // Probe side: one pass over each distinct person's comments. A comment
+  // by u replying to a message of v lands in pair {u, v} iff that pair is
+  // a path edge — together the passes over u and v see exactly the
+  // replies exchanged between u and v.
+  for (size_t uidx = 0; uidx < persons.size(); ++uidx) {
+    const PersonRecord* p = store.FindPerson(pin, persons[uidx]);
+    if (p == nullptr) continue;
+    for (const DatedEdge& e : p->messages.view()) {
+      const MessageRecord* m = store.FindMessage(pin, e.id);
+      if (m == nullptr || m->data.kind != MessageKind::kComment) continue;
+      const MessageRecord* parent =
+          store.FindMessage(pin, m->data.reply_to_id);
+      if (parent == nullptr) continue;
+      size_t vidx = index_of(parent->data.creator_id);
+      if (vidx == persons.size()) continue;
+      const uint64_t* acc = pair_index.Find(pair_key(uidx, vidx));
+      if (acc == nullptr) continue;
+      pair_weight[*acc] +=
+          parent->data.kind == MessageKind::kComment ? 0.5 : 1.0;
+    }
+  }
 
   results.reserve(paths.size());
   for (std::vector<PersonId>& path : paths) {
     Q14Result r;
     r.weight = 0.0;
     for (size_t i = 0; i + 1 < path.size(); ++i) {
-      r.weight += PairWeight(store, pin, path[i], path[i + 1]);
+      uint64_t key = pair_key(index_of(path[i]), index_of(path[i + 1]));
+      r.weight += pair_weight[*pair_index.Find(key)];
     }
     r.path = std::move(path);
     results.push_back(std::move(r));

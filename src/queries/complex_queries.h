@@ -5,10 +5,12 @@
 // implementations for Neo4j/Sparksee). Every query takes its own read
 // snapshot and is safe to run concurrently with updates.
 //
-// Q5, Q9 and Q14 — the heaviest templates — additionally have batched
-// (block-at-a-time) plans; the entry points here dispatch on the
-// process-wide exec::DefaultExecMode(), and queries/batched_queries.h
-// exposes engine-explicit variants for tests, fuzzing and ablation.
+// Each query has exactly one plan on the serving path. Q5, Q9 and Q14 —
+// the heaviest templates — run block-at-a-time on the src/exec operators
+// and sorted-set kernels. The reference semantics live in validate::Oracle
+// and the relational backend (snb::rel), which tests and the differential
+// fuzzer hold every plan here to. queries/query9_plans.h keeps the Fig. 4
+// join-strategy variants of Q9 for the plan-ablation bench only.
 #ifndef SNB_QUERIES_COMPLEX_QUERIES_H_
 #define SNB_QUERIES_COMPLEX_QUERIES_H_
 
@@ -21,6 +23,9 @@
 #include "util/datetime.h"
 
 namespace snb::queries {
+
+struct Q9PlanStats;        // queries/query9_plans.h
+struct Q9OperatorProfile;  // queries/query9_plans.h
 
 using store::GraphStore;
 using util::TimestampMs;
@@ -95,7 +100,9 @@ struct Q5Result {
 };
 
 /// Forums that friends or friends-of-friends joined after `min_date`, ranked
-/// by the number of posts any of them created in the forum; top 20.
+/// by the number of posts any of them created in the forum; top 20. Plan:
+/// sorted-set two-hop circle, flat hash-set build of the circle, per-forum
+/// creator gather + block probe, bounded top-`limit` heap.
 std::vector<Q5Result> Query5(const GraphStore& store, schema::PersonId start,
                              TimestampMs min_date, int limit = 20);
 
@@ -150,9 +157,16 @@ struct Q9Result {
 };
 
 /// Most recent messages created before `max_date` by friends or
-/// friends-of-friends; top 20 by (date desc, id asc).
+/// friends-of-friends; top 20 by (date desc, id asc). Plan: sorted-set
+/// two-hop circle, blockwise date-bounded message scan with per-person
+/// top-`limit` truncation, bounded top-`limit` heap. When `stats` /
+/// `profile` are non-null they receive the same counters Query9WithPlan
+/// reports (hash_build stays untouched — this plan builds no friends hash
+/// table); the null path takes no timestamps.
 std::vector<Q9Result> Query9(const GraphStore& store, schema::PersonId start,
-                             TimestampMs max_date, int limit = 20);
+                             TimestampMs max_date, int limit = 20,
+                             Q9PlanStats* stats = nullptr,
+                             Q9OperatorProfile* profile = nullptr);
 
 // ---- Q10: friend recommendation ---------------------------------------------------------------
 
@@ -216,7 +230,9 @@ struct Q14Result {
 /// All shortest (by hop count) Knows-paths between two persons, each scored
 /// by the message interaction weight of consecutive pairs: every comment
 /// replying to the other's post adds 1.0, to the other's comment adds 0.5.
-/// Sorted by weight descending.
+/// Sorted by weight descending. Distance-1/2 paths come from one sorted
+/// intersection of the endpoint friend lists; pair weights come from one
+/// scan of each distinct path person's comments.
 std::vector<Q14Result> Query14(const GraphStore& store,
                                schema::PersonId person1,
                                schema::PersonId person2);

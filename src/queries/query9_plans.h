@@ -6,7 +6,10 @@
 // costs ~50% in HyPer/Virtuoso. This module executes Q9 with a selectable
 // join strategy per join so the ablation bench can reproduce that
 // sensitivity, and counts the de-facto intermediate result sizes (the
-// paper's Cout) produced by each join.
+// paper's Cout) produced by each join. These variants are the Fig. 4
+// experiment only; the serving path (driver, dossiers, benchmark_run's
+// profile block) runs Query9 from complex_queries.h, which fills the same
+// Q9PlanStats / Q9OperatorProfile.
 #ifndef SNB_QUERIES_QUERY9_PLANS_H_
 #define SNB_QUERIES_QUERY9_PLANS_H_
 
@@ -42,7 +45,7 @@ struct Q9PlanStats {
 /// Per-operator wall-time profile of one (or several merged) plan
 /// executions. Cardinalities (Q9PlanStats) say how much each join produced;
 /// this says where the time went — the dimension Figure 4's INL-vs-hash
-/// comparison actually turns on. Filled only when passed to
+/// comparison actually turns on. Filled only when passed to Query9 or
 /// Query9WithPlan; the null-profile path takes no timestamps.
 struct Q9OperatorProfile {
   obs::OperatorStats hash_build;  // FriendsHashTable construction.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "util/mutex.h"
@@ -83,6 +84,8 @@ Status GraphStore::AddPerson(const Person& person) {
 }
 
 Status GraphStore::AddFriendship(const Knows& knows) {
+  std::optional<util::WriterMutexLock> txn;
+  if (mode_ == ReadConcurrency::kGlobalLock) txn.emplace(&txn_mu_);
   if (!PersonPresent(knows.person1_id) || !PersonPresent(knows.person2_id)) {
     return Status::NotFound("friendship endpoint missing");
   }
@@ -103,6 +106,8 @@ Status GraphStore::AddForum(const schema::Forum& forum) {
 
 Status GraphStore::AddForumMembership(
     const schema::ForumMembership& membership) {
+  std::optional<util::WriterMutexLock> txn;
+  if (mode_ == ReadConcurrency::kGlobalLock) txn.emplace(&txn_mu_);
   if (!PersonPresent(membership.person_id) ||
       !ForumPresent(membership.forum_id)) {
     return Status::NotFound("membership endpoint missing");
@@ -112,6 +117,8 @@ Status GraphStore::AddForumMembership(
 }
 
 Status GraphStore::AddMessage(const Message& message) {
+  std::optional<util::WriterMutexLock> txn;
+  if (mode_ == ReadConcurrency::kGlobalLock) txn.emplace(&txn_mu_);
   if (message.id >= kMaxEntityId) return BadId("message", message.id);
   if (!PersonPresent(message.creator_id)) {
     return Status::NotFound("message creator missing");
@@ -134,6 +141,8 @@ Status GraphStore::AddMessage(const Message& message) {
 }
 
 Status GraphStore::AddLike(const schema::Like& like) {
+  std::optional<util::WriterMutexLock> txn;
+  if (mode_ == ReadConcurrency::kGlobalLock) txn.emplace(&txn_mu_);
   if (!PersonPresent(like.person_id)) {
     return Status::NotFound("like person missing");
   }

@@ -201,6 +201,9 @@ class ShardSnapshot {
 
   uint32_t num_shards_;
   std::array<std::optional<util::EpochPin>, kMaxShards> pins_;
+  // Engaged only in kGlobalLock mode: the store's transaction lock, taken
+  // before the shard locks so the snapshot never sees half of an Add*.
+  std::shared_lock<std::shared_mutex> txn_lock_;
   // Engaged only in kGlobalLock mode; default-constructed (unlocked)
   // otherwise, so kEpoch snapshots pay nothing for them.
   std::array<std::shared_lock<std::shared_mutex>, kMaxShards> locks_;
@@ -317,6 +320,7 @@ class GraphStore {
       snap.pins_[i].emplace(shards_[i].epoch->pin());
     }
     if (mode_ == ReadConcurrency::kGlobalLock) {
+      snap.txn_lock_ = std::shared_lock<std::shared_mutex>(txn_mu_.native());
       for (uint32_t i = 0; i < num_shards_; ++i) {
         snap.locks_[i] =
             std::shared_lock<std::shared_mutex>(shards_[i].mu.native());
@@ -517,6 +521,12 @@ class GraphStore {
   const ReadConcurrency mode_;
   const uint32_t num_shards_;
   Shard shards_[kMaxShards];
+  /// kGlobalLock only: each multi-half Add* transaction holds it
+  /// exclusively across all of its halves (which lock their shards one at
+  /// a time), and ReadLock() holds it shared ahead of the shard locks, so
+  /// a global-lock snapshot sees every transaction whole. Unused in kEpoch
+  /// mode and by the ShardWriterPool, which applies halves directly.
+  mutable util::SharedMutex txn_mu_;
 
   std::atomic<uint64_t> knows_version_{0};
   std::atomic<uint64_t> num_persons_{0};

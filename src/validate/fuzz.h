@@ -4,10 +4,9 @@
 // networks, run every read query with randomized bindings against the graph
 // store (snb::queries), the relational baseline (snb::rel) and the naive
 // scan oracle (snb::validate::Oracle), and require canonical-row equality.
-// Queries with a batched (block-at-a-time) engine port — complex Q5, Q9 and
-// Q14 — additionally run through queries::Query{5,9,14}Batched, so every
-// fuzz graph exercises scalar vs batched vs oracle three ways. The oracle
-// is the arbiter: a backend whose rows differ from the oracle's is the
+// The store side runs the serving plan of every query — the one plan each
+// query has, block-at-a-time for Q5, Q9 and Q14. The oracle is the
+// arbiter: a backend whose rows differ from the oracle's is the
 // mismatch, regardless of whether the other backends agree with it.
 //
 // Every graph additionally randomizes the store's shard count (1, 2, 4 or
@@ -64,7 +63,7 @@ struct FuzzMismatch {
   /// Store shard count the mismatch was found (and reproduces) at; 1 for
   /// artifacts predating the sharded store ("snb-fuzz-regression-v1").
   uint32_t shard_count = 1;
-  std::string backend;      // "store", "store-batched" or "relational".
+  std::string backend;      // "store" or "relational".
   FuzzBinding binding;
   std::vector<std::string> expected;  // Oracle rows.
   std::vector<std::string> actual;    // Mismatching backend's rows.

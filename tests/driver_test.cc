@@ -10,8 +10,10 @@
 #include "driver/driver.h"
 #include "driver/query_mix.h"
 #include "driver/run_audit.h"
+#include "obs/dossier.h"
 #include "obs/trace_buffer.h"
 #include "queries/complex_queries.h"
+#include "queries/query9_plans.h"
 
 namespace snb::driver {
 namespace {
@@ -146,7 +148,7 @@ TEST_F(DriverTest, FullMixRunsReadsAndWalk) {
 
 TEST_F(DriverTest, ThrottledRunSustainsAcceleration) {
   // Replay a slice at a pace that is easy to sustain and check the
-  // sustained flag plus rough wall-clock agreement.
+  // compliance verdict plus rough wall-clock agreement.
   Workload workload = UpdateOnlyWorkload();
   size_t slice = std::min<size_t>(workload.operations.size(), 400);
   std::vector<Operation> ops(workload.operations.begin(),
@@ -159,7 +161,10 @@ TEST_F(DriverTest, ThrottledRunSustainsAcceleration) {
   // Target ~200ms of real time for the slice.
   config.acceleration = static_cast<double>(span) / 200.0;
   DriverReport report = RunWorkload(ops, connector, config);
-  EXPECT_TRUE(report.sustained) << report.max_schedule_lag_ms;
+  ASSERT_TRUE(report.has_compliance);
+  EXPECT_TRUE(report.compliance.passed)
+      << report.compliance.on_time_fraction << " on time, max lag "
+      << report.max_schedule_lag_ms << " ms";
   EXPECT_GT(report.elapsed_seconds, 0.15);
   EXPECT_EQ(report.operations_failed, 0u);
 }
@@ -337,6 +342,108 @@ TEST_F(DriverTest, ComplianceTrackerAuditsWindow) {
   EXPECT_EQ(hist_total, section.scheduled_ops);
   // A permissive bar passes the same counts.
   EXPECT_TRUE(tracker.Finish(0.5).passed);
+}
+
+// ---- Dossiers time the serving plan ----------------------------------------
+
+// Arming dossiers must not change the Q9 plan being timed. The connector
+// with a collector runs the same Query9 as the one without it, only with
+// a profile attached: the dossier's operator rows match a direct profiled
+// Query9 call row for row (invocations and cardinalities), that call
+// returns the unprofiled rows, and neither resembles Query9WithPlan — no
+// hash_build, and join3 keeps at most `limit` messages per circle person
+// where the INL plan keeps every qualifying one.
+TEST_F(DriverTest, DossierQ9ProfilesTheServingPlan) {
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(world().dataset.bulk).ok());
+  util::TimestampMs max_date =
+      util::kNetworkStartMs + 40 * util::kMillisPerMonth;
+
+  // A person whose circle has more qualifying messages than the serving
+  // plan's per-person truncation keeps, so the two plans' join3 differ.
+  std::vector<schema::PersonId> persons;
+  {
+    auto pin = store.ReadLock();
+    persons = store.PersonIds(pin);
+  }
+  schema::PersonId person = schema::kInvalidId;
+  queries::Q9PlanStats serving_stats;
+  queries::Q9PlanStats inl_stats;
+  for (schema::PersonId p : persons) {
+    queries::Query9(store, p, max_date, 20, &serving_stats);
+    queries::Query9WithPlan(store, p, max_date, 20,
+                            queries::JoinStrategy::kIndexNestedLoop,
+                            queries::JoinStrategy::kIndexNestedLoop,
+                            queries::JoinStrategy::kIndexNestedLoop,
+                            &inl_stats);
+    if (serving_stats.join3_output < inl_stats.join3_output) {
+      person = p;
+      break;
+    }
+  }
+  ASSERT_NE(person, schema::kInvalidId);
+
+  Operation op;
+  op.type = OperationType::kComplexRead;
+  op.query_id = 9;
+  op.person_param = person;
+  op.aux0 = static_cast<uint64_t>(max_date);
+  op.due_time = max_date;
+
+  obs::MetricsRegistry plain_metrics;
+  StoreConnector plain(&store, &world().dataset.updates, world().dict.get(),
+                       &plain_metrics);
+  ASSERT_TRUE(plain.Execute(op).ok());
+
+  obs::MetricsRegistry armed_metrics;
+  obs::DossierCollector dossiers(/*keep_per_op=*/1);
+  StoreConnector armed(&store, &world().dataset.updates, world().dict.get(),
+                       &armed_metrics, ShortReadWalkConfig(),
+                       /*dispatch_overhead_us=*/0, /*trace=*/nullptr,
+                       &dossiers);
+  ASSERT_TRUE(armed.Execute(op).ok());
+
+  const obs::SlowQueryDossier* q9 = nullptr;
+  std::vector<obs::SlowQueryDossier> kept = dossiers.Snapshot();
+  for (const obs::SlowQueryDossier& d : kept) {
+    if (d.op == obs::ComplexOp(9)) q9 = &d;
+  }
+  ASSERT_NE(q9, nullptr);
+
+  queries::Q9PlanStats stats;
+  queries::Q9OperatorProfile profile;
+  std::vector<queries::Q9Result> profiled =
+      queries::Query9(store, person, max_date, 20, &stats, &profile);
+  std::vector<queries::Q9Result> unprofiled =
+      queries::Query9(store, person, max_date, 20);
+  ASSERT_EQ(profiled.size(), unprofiled.size());
+  for (size_t i = 0; i < unprofiled.size(); ++i) {
+    EXPECT_EQ(profiled[i].message_id, unprofiled[i].message_id) << i;
+    EXPECT_EQ(profiled[i].creator_id, unprofiled[i].creator_id) << i;
+    EXPECT_EQ(profiled[i].creation_date, unprofiled[i].creation_date) << i;
+  }
+
+  auto expected = queries::ProfileRows(profile);
+  ASSERT_EQ(q9->operators.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const obs::DossierOperatorRow& row = q9->operators[i];
+    EXPECT_EQ(row.name, expected[i].first);
+    EXPECT_NE(row.name, "hash_build");
+    EXPECT_EQ(row.invocations, expected[i].second.invocations) << row.name;
+    EXPECT_EQ(row.rows, expected[i].second.rows) << row.name;
+  }
+  EXPECT_EQ(profile.hash_build.invocations, 0u);
+  EXPECT_EQ(profile.join3.rows, stats.join3_output);
+  EXPECT_LT(profile.join3.rows, inl_stats.join3_output);
+
+  // Both connectors ran the same short-read walk after the read.
+  obs::MetricsSnapshot plain_snap = plain_metrics.Snapshot();
+  obs::MetricsSnapshot armed_snap = armed_metrics.Snapshot();
+  EXPECT_EQ(armed_snap.CounterValue(obs::Counter::kShortReadWalkSteps),
+            plain_snap.CounterValue(obs::Counter::kShortReadWalkSteps));
+  for (size_t i = obs::kShortBegin; i < obs::kUpdateBegin; ++i) {
+    EXPECT_EQ(armed_snap.ops[i].count, plain_snap.ops[i].count) << i;
+  }
 }
 
 // ---- Compliance + trace wired through a real run --------------------------
