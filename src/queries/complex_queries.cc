@@ -28,7 +28,7 @@ using store::PersonRecord;
 using MessageEdges = util::RcuVector<DatedEdge>::View;
 
 std::vector<PersonId> FriendIdsLocked(const GraphStore& store,
-                                      const store::ShardSnapshot& pin,
+                                      const store::ReadGuard& pin,
                                       PersonId start) {
   std::vector<PersonId> out;
   const PersonRecord* p = store.FindPerson(pin, start);
@@ -40,7 +40,7 @@ std::vector<PersonId> FriendIdsLocked(const GraphStore& store,
 }
 
 std::vector<PersonId> TwoHopCircleLocked(const GraphStore& store,
-                                         const store::ShardSnapshot& pin,
+                                         const store::ReadGuard& pin,
                                          PersonId start) {
   std::vector<PersonId> out;
   const PersonRecord* p = store.FindPerson(pin, start);
@@ -674,7 +674,7 @@ constexpr size_t kMaxPaths = 1000;
 /// order — which is exactly Intersect(friends(p1), friends(p2)) read left
 /// to right, including where a kMaxPaths cut lands.
 std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
-                                                 const store::ShardSnapshot& pin,
+                                                 const store::ReadGuard& pin,
                                                  PersonId person1,
                                                  PersonId person2) {
   std::vector<std::vector<PersonId>> paths;

@@ -41,10 +41,10 @@ struct Binding {
 };
 
 struct ThreadEpochState {
-  // A thread may bind the whole Domain() pool (kMaxDomains = 8) plus a
-  // handful of test-local managers; bindings are never released before
-  // thread exit, so the cap must cover the union, not the working set.
-  static constexpr int kMaxBindings = 32;
+  // A thread binds Global() plus at most a handful of test-local managers;
+  // bindings are never released before thread exit, so the cap must cover
+  // every manager a thread ever enters, not just the ones it holds now.
+  static constexpr int kMaxBindings = 8;
   Binding bindings[kMaxBindings];
 
   ~ThreadEpochState() {
@@ -85,20 +85,6 @@ thread_local ThreadEpochState tls_epoch_state;
 EpochManager& EpochManager::Global() {
   static EpochManager* instance = new EpochManager();  // Intentional leak.
   return *instance;
-}
-
-EpochManager& EpochManager::Domain(size_t index) {
-  if (index >= kMaxDomains) {
-    std::fprintf(stderr, "EpochManager::Domain(%zu): only %zu domains\n",
-                 index, kMaxDomains);
-    std::abort();
-  }
-  if (index == 0) return Global();
-  // Intentional leak, same argument as Global(): a thread's cached slot
-  // binding is released only at thread exit, which must not race manager
-  // destruction.
-  static EpochManager* extra = new EpochManager[kMaxDomains - 1];
-  return extra[index - 1];
 }
 
 EpochManager::~EpochManager() {
@@ -184,7 +170,6 @@ void EpochManager::Exit() {
 }
 
 void EpochManager::Retire(void* p, void (*deleter)(void*)) {
-  constexpr size_t kReclaimThreshold = 64;
   MutexLock lock(&retire_mu_);
   garbage_.push_back(
       {p, deleter, global_epoch_.load(std::memory_order_seq_cst)});

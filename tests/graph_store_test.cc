@@ -10,7 +10,6 @@
 #include "queries/update_queries.h"
 #include "relational/rel_queries.h"
 #include "store/graph_store.h"
-#include "store/shard_router.h"
 #include "validate/canonical.h"
 
 namespace snb::store {
@@ -330,20 +329,80 @@ TEST(GraphStoreTest, ConcurrentReadersDuringWritesEpoch) {
   EXPECT_EQ(store.NumMessages(), 49u);
 }
 
-// ---- Cross-shard edge battery ---------------------------------------------
+// A reader that stalls while pinned must hold back reclamation — a writer
+// may never free a buffer the reader could still be walking — and once the
+// pin drops, ordinary writes must work the backlog off again.
+TEST(GraphStoreTest, StalledReaderHoldsBackReclamationUntilItUnpins) {
+  GraphStore store;
+  constexpr schema::PersonId kPersons = 200;
+  for (schema::PersonId id = 0; id < kPersons; ++id) {
+    ASSERT_TRUE(store.AddPerson(MakePerson(id)).ok());
+  }
+  ASSERT_TRUE(store.AddForum(MakeForum(1000, 0)).ok());
+  util::EpochManager& epoch = store.epoch_manager();
+  epoch.DrainForTesting();
+  const util::EpochManager::EpochStats before = epoch.stats();
+  ASSERT_EQ(before.pending, 0u);
+
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> release{false};
+  std::thread reader([&] {
+    ReadGuard pin = store.ReadLock();
+    pinned.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!pinned.load()) std::this_thread::yield();
+
+  // Friend lists and message lists regrow many times over, so the writer
+  // retires far more buffers than the reclaim threshold and keeps trying
+  // to advance the epoch against the stalled pin.
+  schema::MessageId next_message = 0;
+  auto write_round = [&](schema::PersonId span, int posts) {
+    for (schema::PersonId id = 0; id < kPersons; ++id) {
+      for (schema::PersonId d = 1; d <= span; ++d) {
+        schema::PersonId other = (id + d) % kPersons;
+        ASSERT_TRUE(store.AddFriendship({id, other, 100}).ok());
+      }
+      for (int k = 0; k < posts; ++k) {
+        ASSERT_TRUE(store.AddMessage(MakePost(next_message++, id, 1000)).ok());
+      }
+      util::EpochManager::EpochStats now = epoch.stats();
+      ASSERT_LE(now.pending - before.pending, now.retired - before.retired);
+    }
+  };
+  write_round(/*span=*/16, /*posts=*/8);
+  const util::EpochManager::EpochStats stalled = epoch.stats();
+  EXPECT_GT(stalled.retired - before.retired,
+            util::EpochManager::kReclaimThreshold);
+  EXPECT_GT(stalled.pending, before.pending);
+  EXPECT_EQ(stalled.freed, before.freed) << "freed under a live pin";
+
+  release.store(true);
+  reader.join();
+
+  // No DrainForTesting: further writes advance the epoch on their own and
+  // free everything retired during the stall, leaving at most one
+  // reclaim batch in flight.
+  write_round(/*span=*/16, /*posts=*/8);
+  const util::EpochManager::EpochStats after = epoch.stats();
+  EXPECT_GE(after.freed - stalled.freed, stalled.pending);
+  EXPECT_LT(after.pending, util::EpochManager::kReclaimThreshold);
+  // A quiescent writer's two reclaim passes empty the backlog entirely.
+  epoch.TryReclaim();
+  epoch.TryReclaim();
+  EXPECT_EQ(epoch.stats().pending, 0u);
+}
+
+// ---- Edge battery -----------------------------------------------------------
 //
 // Every relationship kind the store models — friendships, likes, forum
-// memberships, message containment and replies — is exercised with
-// endpoints that hash to *different* shards, then verified by Q9 (both
-// engines) and the full short-read battery against the relational baseline
-// at every shard count {1, 2, 4, 8}. The fixture asserts its own premise:
-// at each N > 1 it must actually contain cross-shard instances of every
-// edge kind, so a router change cannot silently degrade this into a
-// single-shard test. The hermit and lonely-poster cases from
-// queries_edge_test.cc ride along: a person with no edges at all and a
-// person with messages but zero friends must produce identical
-// (empty-but-found) results on every shard count.
-class CrossShardBatteryTest : public ::testing::Test {
+// memberships, message containment and replies — is built through the
+// online Add* transactions (never BulkLoad) and verified by Q9 and the full
+// short-read battery against the relational baseline. The hermit and
+// lonely-poster cases from queries_edge_test.cc ride along: a person with
+// no edges at all and a person with messages but zero friends must produce
+// empty-but-found results.
+class EdgeBatteryTest : public ::testing::Test {
  protected:
   static constexpr schema::PersonId kHermit = 555000;
   static constexpr schema::PersonId kLoner = 600;
@@ -381,7 +440,7 @@ class CrossShardBatteryTest : public ::testing::Test {
   }
 
   /// The deterministic fixture network, inserted through the public Add*
-  /// transactions on both SUTs (never BulkLoad, so the sharded write path
+  /// transactions on both SUTs (never BulkLoad, so the online write path
   /// is the one under test). Persons 1..12 in a friendship ring plus
   /// +3 chords; four forums; one post per person in a rotating forum;
   /// replies by a *different* person than the post creator; likes rotated
@@ -422,7 +481,7 @@ class CrossShardBatteryTest : public ::testing::Test {
     // The lonely poster: messages and a membership but zero friends.
     AddMessageBoth(s, db, MakePost(20, kLoner, 102, 3500));
     // Replies: comment 30+k on post k, by the post creator's ring
-    // neighbor's neighbor (so creator != replier, usually cross-shard).
+    // neighbor's neighbor (so creator != replier).
     for (schema::MessageId post = 0; post < 8; ++post) {
       Message c;
       c.id = 30 + post;
@@ -444,46 +503,11 @@ class CrossShardBatteryTest : public ::testing::Test {
     }
   }
 
-  /// Asserts the fixture's premise at shard count N: every edge kind has
-  /// at least one instance whose two endpoints live on different shards.
-  void ExpectCrossShardCoverage(uint32_t shards) {
-    int cross_friend = 0, cross_like = 0, cross_member = 0;
-    int cross_contain = 0, cross_reply = 0;
-    for (schema::PersonId id = 1; id <= kPersons; ++id) {
-      if (ShardOfPerson(id, shards) !=
-          ShardOfPerson(id % kPersons + 1, shards)) {
-        ++cross_friend;
-      }
-      if (ShardOfPerson(id, shards) !=
-          ShardOfMessage((id + 4) % kPersons, shards)) {
-        ++cross_like;
-      }
-      if (ShardOfPerson(id, shards) != ShardOfForum(101, shards)) {
-        ++cross_member;
-      }
-      if (ShardOfMessage(id - 1, shards) !=
-          ShardOfForum(101 + (id - 1) % 4, shards)) {
-        ++cross_contain;
-      }
-    }
-    for (schema::MessageId post = 0; post < 8; ++post) {
-      if (ShardOfMessage(post, shards) !=
-          ShardOfMessage(30 + post, shards)) {
-        ++cross_reply;
-      }
-    }
-    EXPECT_GT(cross_friend, 0) << "no cross-shard friendship at N=" << shards;
-    EXPECT_GT(cross_like, 0) << "no cross-shard like at N=" << shards;
-    EXPECT_GT(cross_member, 0) << "no cross-shard membership at N=" << shards;
-    EXPECT_GT(cross_contain, 0) << "no cross-shard post at N=" << shards;
-    EXPECT_GT(cross_reply, 0) << "no cross-shard reply at N=" << shards;
-  }
-
   /// Q9 plus the full short-read battery for every
   /// person and message, diffed row-by-row against the relational result
   /// in canonical form.
-  void ExpectBatteryMatches(const GraphStore& s, const rel::RelationalDb& db,
-                            uint32_t shards) {
+  void ExpectBatteryMatches(const GraphStore& s,
+                            const rel::RelationalDb& db) {
     std::vector<schema::PersonId> persons;
     for (schema::PersonId id = 1; id <= kPersons; ++id) persons.push_back(id);
     persons.push_back(kHermit);
@@ -491,106 +515,64 @@ class CrossShardBatteryTest : public ::testing::Test {
     for (schema::PersonId p : persons) {
       EXPECT_EQ(validate::CanonicalRows(queries::Query9(s, p, kBatteryDate)),
                 validate::CanonicalRows(rel::Query9(db, p, kBatteryDate)))
-          << "Q9, shards=" << shards << " person=" << p;
+          << "Q9, person=" << p;
       EXPECT_EQ(validate::CanonicalRow(queries::ShortQuery1PersonProfile(s, p)),
                 validate::CanonicalRow(rel::ShortQuery1PersonProfile(db, p)))
-          << "S1, shards=" << shards << " person=" << p;
+          << "S1, person=" << p;
       EXPECT_EQ(
           validate::CanonicalRows(queries::ShortQuery2RecentMessages(s, p)),
           validate::CanonicalRows(rel::ShortQuery2RecentMessages(db, p)))
-          << "S2, shards=" << shards << " person=" << p;
+          << "S2, person=" << p;
       EXPECT_EQ(validate::CanonicalRows(queries::ShortQuery3Friends(s, p)),
                 validate::CanonicalRows(rel::ShortQuery3Friends(db, p)))
-          << "S3, shards=" << shards << " person=" << p;
+          << "S3, person=" << p;
     }
     for (schema::MessageId m : message_ids_) {
       EXPECT_EQ(
           validate::CanonicalRow(queries::ShortQuery4MessageContent(s, m)),
           validate::CanonicalRow(rel::ShortQuery4MessageContent(db, m)))
-          << "S4, shards=" << shards << " message=" << m;
+          << "S4, message=" << m;
       EXPECT_EQ(
           validate::CanonicalRow(queries::ShortQuery5MessageCreator(s, m)),
           validate::CanonicalRow(rel::ShortQuery5MessageCreator(db, m)))
-          << "S5, shards=" << shards << " message=" << m;
+          << "S5, message=" << m;
       EXPECT_EQ(validate::CanonicalRow(queries::ShortQuery6MessageForum(s, m)),
                 validate::CanonicalRow(rel::ShortQuery6MessageForum(db, m)))
-          << "S6, shards=" << shards << " message=" << m;
+          << "S6, message=" << m;
       EXPECT_EQ(
           validate::CanonicalRows(queries::ShortQuery7MessageReplies(s, m)),
           validate::CanonicalRows(rel::ShortQuery7MessageReplies(db, m)))
-          << "S7, shards=" << shards << " message=" << m;
+          << "S7, message=" << m;
     }
   }
 
   std::vector<schema::MessageId> message_ids_;
 };
 
-TEST_F(CrossShardBatteryTest, EdgeBatteryMatchesRelationalAtEveryShardCount) {
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    if (shards > 1) ExpectCrossShardCoverage(shards);
-    GraphStore store(ReadConcurrency::kEpoch, shards);
-    rel::RelationalDb db;
-    BuildNetwork(&store, &db);
-    if (HasFatalFailure()) return;
-    ExpectBatteryMatches(store, db, shards);
-  }
+TEST_F(EdgeBatteryTest, MatchesRelational) {
+  GraphStore store;
+  rel::RelationalDb db;
+  BuildNetwork(&store, &db);
+  if (HasFatalFailure()) return;
+  ExpectBatteryMatches(store, db);
 }
 
-// Hermit and zero-friend semantics, shard-count invariant: present but
-// empty everywhere (mirrors queries_edge_test.cc on the sharded store).
-TEST_F(CrossShardBatteryTest, HermitAndLonerAreEmptyButFoundAtEveryCount) {
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    GraphStore store(ReadConcurrency::kEpoch, shards);
-    rel::RelationalDb db;
-    BuildNetwork(&store, &db);
-    if (HasFatalFailure()) return;
-    EXPECT_TRUE(queries::Query9(store, kHermit, kBatteryDate).empty());
-    EXPECT_TRUE(queries::ShortQuery1PersonProfile(store, kHermit).found);
-    EXPECT_TRUE(queries::ShortQuery2RecentMessages(store, kHermit).empty());
-    EXPECT_TRUE(queries::ShortQuery3Friends(store, kHermit).empty());
-    // The loner has messages (S2 non-empty) but no friends, so the
-    // friends-of-friends Q9 frontier is empty.
-    EXPECT_TRUE(queries::Query9(store, kLoner, kBatteryDate).empty());
-    EXPECT_FALSE(queries::ShortQuery2RecentMessages(store, kLoner).empty());
-    EXPECT_TRUE(queries::ShortQuery3Friends(store, kLoner).empty());
-  }
-}
-
-// Same fixture, updates routed through the multi-writer pool instead of
-// the synchronous Add* transactions — exercised separately in
-// driver-level tests; here we only pin the router's determinism: the
-// shard of an id is a pure function of the id and the count.
-TEST(ShardRouterTest, RoutingIsDeterministicAndInRange) {
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    for (uint64_t id = 0; id < 1000; ++id) {
-      uint32_t p = ShardOfPerson(id, shards);
-      EXPECT_LT(p, shards);
-      EXPECT_EQ(p, ShardOfPerson(id, shards));
-      EXPECT_LT(ShardOfForum(id, shards), shards);
-      EXPECT_LT(ShardOfMessage(id, shards), shards);
-    }
-  }
-}
-
-TEST(ShardRouterTest, ShardsArePopulatedAtEveryCount) {
-  // 1000 consecutive ids must hit every shard for each kind — uniformity
-  // of the salted splitmix64 placement, and a regression guard against a
-  // modulus typo collapsing the distribution.
-  for (uint32_t shards : {2u, 4u, 8u}) {
-    std::vector<int> p(shards), f(shards), m(shards);
-    for (uint64_t id = 0; id < 1000; ++id) {
-      ++p[ShardOfPerson(id, shards)];
-      ++f[ShardOfForum(id, shards)];
-      ++m[ShardOfMessage(id, shards)];
-    }
-    for (uint32_t i = 0; i < shards; ++i) {
-      EXPECT_GT(p[i], 0) << "empty person shard " << i << "/" << shards;
-      EXPECT_GT(f[i], 0) << "empty forum shard " << i << "/" << shards;
-      EXPECT_GT(m[i], 0) << "empty message shard " << i << "/" << shards;
-    }
-  }
+// Hermit and zero-friend semantics: present but empty (mirrors
+// queries_edge_test.cc on a store built by online transactions).
+TEST_F(EdgeBatteryTest, HermitAndLonerAreEmptyButFound) {
+  GraphStore store;
+  rel::RelationalDb db;
+  BuildNetwork(&store, &db);
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(queries::Query9(store, kHermit, kBatteryDate).empty());
+  EXPECT_TRUE(queries::ShortQuery1PersonProfile(store, kHermit).found);
+  EXPECT_TRUE(queries::ShortQuery2RecentMessages(store, kHermit).empty());
+  EXPECT_TRUE(queries::ShortQuery3Friends(store, kHermit).empty());
+  // The loner has messages (S2 non-empty) but no friends, so the
+  // friends-of-friends Q9 frontier is empty.
+  EXPECT_TRUE(queries::Query9(store, kLoner, kBatteryDate).empty());
+  EXPECT_FALSE(queries::ShortQuery2RecentMessages(store, kLoner).empty());
+  EXPECT_TRUE(queries::ShortQuery3Friends(store, kLoner).empty());
 }
 
 }  // namespace

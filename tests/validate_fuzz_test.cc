@@ -100,11 +100,6 @@ TEST(DifferentialFuzzTest, PerturbationIsCaughtShrunkAndRoundTrips) {
   ASSERT_TRUE(WriteMismatch(mismatch, path).ok());
   FuzzMismatch loaded;
   ASSERT_TRUE(ReadMismatch(path, &loaded).ok());
-  // The shard count the mismatch was found at travels with the artifact,
-  // so the reproducer rebuilds the same store topology.
-  EXPECT_GE(mismatch.shard_count, 1u);
-  EXPECT_LE(mismatch.shard_count, 8u);
-  EXPECT_EQ(loaded.shard_count, mismatch.shard_count);
   EXPECT_EQ(loaded.backend, mismatch.backend);
   EXPECT_EQ(loaded.binding.op, mismatch.binding.op);
   EXPECT_EQ(loaded.expected, mismatch.expected);
@@ -132,16 +127,24 @@ TEST(FuzzArtifactTest, RejectsForeignAndCorruptDocuments) {
       MismatchFromJson("{\"schema\":\"snb-fuzz-regression-v1\"}", &out).ok());
 }
 
-// v2 artifacts persist the shard count; v1 artifacts (written before the
-// sharded store) must still load, defaulting to a single shard.
+// Artifacts are written as v1. v2 artifacts (written while the store could
+// be sharded) carry an extra shard count: it must be in [1, 8] and is then
+// ignored, so a v2 reproducer loads and replays on the one store layout.
 TEST(FuzzArtifactTest, ShardCountRoundTripsAndV1StaysAccepted) {
+  // A genuine Q13 counterexample: the perturbed store answers 5 where the
+  // oracle's shortest path between the two friends is 1.
+  StorePerturbation wrong_distance = [](const std::string& op,
+                                        std::vector<std::string>* rows) {
+    if (op == "complex.Q13") *rows = {"5"};
+  };
   FuzzMismatch m;
   m.graph_seed = 7;
-  m.shard_count = 4;
   m.backend = "store";
-  m.binding.op = "short.S3";
+  m.binding.op = "complex.Q13";
   m.binding.person = 1;
-  m.expected = {"1|First|Last|100"};
+  m.binding.person2 = 2;
+  m.expected = {"1"};
+  m.actual = {"5"};
   schema::Person a;
   a.id = 1;
   a.first_name = "First";
@@ -152,34 +155,49 @@ TEST(FuzzArtifactTest, ShardCountRoundTripsAndV1StaysAccepted) {
   b.last_name = "Person";
   m.graph.persons = {a, b};
   m.graph.knows = {{1, 2, 100}};
+  ASSERT_TRUE(MismatchReproduces(m, wrong_distance));
 
-  std::string json = MismatchToJson(m);
-  EXPECT_NE(json.find("snb-fuzz-regression-v2"), std::string::npos);
+  // A new artifact is v1 and round-trips.
+  std::string v1 = MismatchToJson(m);
+  ASSERT_NE(v1.find("\"snb-fuzz-regression-v1\""), std::string::npos);
   FuzzMismatch loaded;
-  ASSERT_TRUE(MismatchFromJson(json, &loaded).ok());
-  EXPECT_EQ(loaded.shard_count, 4u);
+  ASSERT_TRUE(MismatchFromJson(v1, &loaded).ok());
   EXPECT_EQ(loaded.graph_seed, 7u);
+  EXPECT_EQ(loaded.binding.op, "complex.Q13");
+  EXPECT_EQ(loaded.expected, m.expected);
+  EXPECT_EQ(loaded.actual, m.actual);
   EXPECT_EQ(loaded.graph.persons.size(), 2u);
+  EXPECT_EQ(loaded.graph.knows.size(), 1u);
+  EXPECT_EQ(MismatchToJson(loaded), v1);
 
-  // Downgrade the document to v1 by hand: old tag, no shard_count field.
-  std::string v1 = json;
-  size_t tag = v1.find("snb-fuzz-regression-v2");
-  ASSERT_NE(tag, std::string::npos);
-  v1.replace(tag, 22, "snb-fuzz-regression-v1");
-  size_t field = v1.find("\"shard_count\":4,");
-  ASSERT_NE(field, std::string::npos);
-  v1.erase(field, 16);
+  // Upgrade the document to v2 by hand: new tag plus a shard count.
+  auto as_v2 = [&v1](const std::string& count) {
+    std::string v2 = v1;
+    size_t tag = v2.find("snb-fuzz-regression-v1");
+    v2.replace(tag, 22, "snb-fuzz-regression-v2");
+    size_t backend = v2.find("\"backend\"");
+    v2.insert(backend, "\"shard_count\":" + count + ",");
+    return v2;
+  };
+  FuzzMismatch from_v2;
+  ASSERT_TRUE(MismatchFromJson(as_v2("4"), &from_v2).ok());
+  EXPECT_EQ(from_v2.graph.persons.size(), 2u);
+  EXPECT_TRUE(MismatchReproduces(from_v2, wrong_distance));
+  EXPECT_FALSE(MismatchReproduces(from_v2));
+
+  // Out-of-range v2 counts are rejected with the loader's specific status.
+  for (const char* count : {"0", "9"}) {
+    util::Status st = MismatchFromJson(as_v2(count), &from_v2);
+    EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument) << count;
+    EXPECT_NE(st.message().find("shard_count out of range [1, 8]"),
+              std::string::npos)
+        << st.message();
+  }
+
+  // v1 still loads (the same document v1 readers always accepted).
   FuzzMismatch from_v1;
   ASSERT_TRUE(MismatchFromJson(v1, &from_v1).ok());
-  EXPECT_EQ(from_v1.shard_count, 1u);
-  EXPECT_EQ(from_v1.graph.persons.size(), 2u);
-
-  // A v2 document with an out-of-range count is rejected.
-  std::string bad = json;
-  size_t count = bad.find("\"shard_count\":4");
-  ASSERT_NE(count, std::string::npos);
-  bad.replace(count, 15, "\"shard_count\":9");
-  EXPECT_FALSE(MismatchFromJson(bad, &loaded).ok());
+  EXPECT_TRUE(MismatchReproduces(from_v1, wrong_distance));
 }
 
 }  // namespace
