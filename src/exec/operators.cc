@@ -31,8 +31,7 @@ TwoHopStats ExpandTwoHopSorted(const store::GraphStore& store,
 
   // join2: per-friend difference against the direct list keeps the fresh
   // candidates small before the single dedup sort; one merge restores
-  // global order. Equivalent to hash-dedup + sort (TwoHopCircleLocked) —
-  // same element set, same final order.
+  // global order.
   std::vector<uint64_t> fof;
   {
     obs::TraceSpan span(join2_sink, "join2");

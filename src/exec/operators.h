@@ -31,9 +31,10 @@ struct TwoHopStats {
 /// Sorted two-hop circle of `start` (direct friends plus friends of
 /// friends, `start` itself excluded), built with the sorted-set kernels:
 /// per-friend DifferenceSorted against the direct list, one dedup sort
-/// over the fresh ids, one merge. Matches queries::TwoHopCircle exactly
-/// (that one hash-dedups then sorts). Spans: join1 = direct expansion,
-/// join2 = friend-of-friend expansion; either sink may be null.
+/// over the fresh ids, one merge. queries::TwoHopCircle (Q3, Q6, Q11,
+/// the recycler) and Q10's friend-of-friend set are built on it. Spans:
+/// join1 = direct expansion, join2 = friend-of-friend expansion; either
+/// sink may be null.
 TwoHopStats ExpandTwoHopSorted(const store::GraphStore& store,
                                const store::ReadGuard& pin, uint64_t start,
                                std::vector<uint64_t>* circle,

@@ -1,8 +1,6 @@
 #include "queries/complex_queries.h"
 
 #include <algorithm>
-#include <ctime>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -10,6 +8,7 @@
 #include "exec/hash_join.h"
 #include "exec/intersect.h"
 #include "exec/operators.h"
+#include "exec/traversal.h"
 #include "obs/trace.h"
 #include "queries/query9_plans.h"
 #include "store/adjacency_blocks.h"
@@ -43,22 +42,7 @@ std::vector<PersonId> TwoHopCircleLocked(const GraphStore& store,
                                          const store::ReadGuard& pin,
                                          PersonId start) {
   std::vector<PersonId> out;
-  const PersonRecord* p = store.FindPerson(pin, start);
-  if (p == nullptr) return out;
-  std::unordered_set<PersonId> seen;
-  seen.insert(start);
-  for (const FriendEdge& e : p->friends.view()) {
-    if (seen.insert(e.other).second) out.push_back(e.other);
-  }
-  size_t direct = out.size();
-  for (size_t i = 0; i < direct; ++i) {
-    const PersonRecord* f = store.FindPerson(pin, out[i]);
-    if (f == nullptr) continue;
-    for (const FriendEdge& e : f->friends.view()) {
-      if (seen.insert(e.other).second) out.push_back(e.other);
-    }
-  }
-  std::sort(out.begin(), out.end());
+  exec::ExpandTwoHopSorted(store, pin, start, &out);
   return out;
 }
 
@@ -78,15 +62,6 @@ size_t LowerBoundByDate(const MessageEdges& messages, TimestampMs min_date) {
       messages.begin(), messages.end(),
       [&](const DatedEdge& e) { return e.date < min_date; });
   return static_cast<size_t>(it - messages.begin());
-}
-
-/// Month (1-12) and day (1-31) of a timestamp, UTC.
-void MonthDayOf(TimestampMs ts, int* month, int* day) {
-  std::time_t secs = static_cast<std::time_t>(ts / util::kMillisPerSecond);
-  std::tm tm_utc{};
-  gmtime_r(&secs, &tm_utc);
-  *month = tm_utc.tm_mon + 1;
-  *day = tm_utc.tm_mday;
 }
 
 }  // namespace
@@ -110,35 +85,22 @@ std::vector<Q1Result> Query1(const GraphStore& store, PersonId start,
   const PersonRecord* root = store.FindPerson(pin, start);
   if (root == nullptr) return results;
 
-  // 3-level BFS collecting name matches.
-  std::unordered_set<PersonId> visited;
-  visited.insert(start);
-  std::vector<PersonId> frontier = {start};
-  for (uint32_t distance = 1; distance <= 3 && !frontier.empty();
-       ++distance) {
-    std::vector<PersonId> next;
-    for (PersonId pid : frontier) {
-      const PersonRecord* p = store.FindPerson(pin, pid);
-      if (p == nullptr) continue;
-      for (const FriendEdge& e : p->friends.view()) {
-        if (!visited.insert(e.other).second) continue;
-        next.push_back(e.other);
-        const PersonRecord* candidate = store.FindPerson(pin, e.other);
-        if (candidate != nullptr &&
-            candidate->data.first_name == first_name) {
-          Q1Result r;
-          r.person_id = e.other;
-          r.distance = distance;
-          r.last_name = candidate->data.last_name;
-          r.city_id = candidate->data.city_id;
-          r.university_id = candidate->data.university_id;
-          r.company_id = candidate->data.company_id;
-          results.push_back(std::move(r));
+  // 3-level expansion collecting name matches.
+  exec::ExpandWithinHops(
+      store, pin, start, 3, [&](PersonId pid, uint32_t distance) {
+        const PersonRecord* candidate = store.FindPerson(pin, pid);
+        if (candidate == nullptr || candidate->data.first_name != first_name) {
+          return;
         }
-      }
-    }
-    frontier = std::move(next);
-  }
+        Q1Result r;
+        r.person_id = pid;
+        r.distance = distance;
+        r.last_name = candidate->data.last_name;
+        r.city_id = candidate->data.city_id;
+        r.university_id = candidate->data.university_id;
+        r.company_id = candidate->data.company_id;
+        results.push_back(std::move(r));
+      });
   std::sort(results.begin(), results.end(),
             [](const Q1Result& a, const Q1Result& b) {
               if (a.distance != b.distance) return a.distance < b.distance;
@@ -480,25 +442,23 @@ std::vector<Q10Result> Query10(const GraphStore& store, PersonId start,
   if (root == nullptr) return results;
   std::unordered_set<schema::TagId> interests(root->data.interests.begin(),
                                               root->data.interests.end());
-  auto root_friends = root->friends.view();
-  std::unordered_set<PersonId> direct;
-  direct.insert(start);
-  for (const FriendEdge& e : root_friends) direct.insert(e.other);
-
-  std::unordered_set<PersonId> fof;
-  for (const FriendEdge& e : root_friends) {
-    const PersonRecord* f = store.FindPerson(pin, e.other);
-    if (f == nullptr) continue;
-    for (const FriendEdge& e2 : f->friends.view()) {
-      if (direct.count(e2.other) == 0) fof.insert(e2.other);
-    }
-  }
+  // Friends of friends, excluding the start person and direct friends:
+  // the two-hop circle minus friends(start). Friendships are insert-only,
+  // so a friend list read after the expansion covers every direct friend
+  // the expansion saw.
+  std::vector<uint64_t> circle;
+  exec::ExpandTwoHopSorted(store, pin, start, &circle);
+  std::vector<uint64_t> direct;
+  store::CopyFriendIds(root->friends.view(), &direct);
+  std::vector<uint64_t> fof(circle.size());
+  fof.resize(exec::DifferenceSorted(circle.data(), circle.size(),
+                                    direct.data(), direct.size(), fof.data()));
 
   for (PersonId pid : fof) {
     const PersonRecord* p = store.FindPerson(pin, pid);
     if (p == nullptr) continue;
     int month = 0, day = 0;
-    MonthDayOf(p->data.birthday, &month, &day);
+    util::MonthDayOf(p->data.birthday, &month, &day);
     int next_month = horoscope_month % 12 + 1;
     bool sign_match = (month == horoscope_month && day >= 21) ||
                       (month == next_month && day < 22);
@@ -609,50 +569,7 @@ int Query13(const GraphStore& store, PersonId person1, PersonId person2) {
       store.FindPerson(pin, person2) == nullptr) {
     return -1;
   }
-  // Bidirectional BFS.
-  std::unordered_map<PersonId, int> dist_fwd{{person1, 0}};
-  std::unordered_map<PersonId, int> dist_bwd{{person2, 0}};
-  std::deque<PersonId> frontier_fwd{person1};
-  std::deque<PersonId> frontier_bwd{person2};
-  int depth_fwd = 0, depth_bwd = 0;
-
-  auto expand = [&](std::deque<PersonId>& frontier,
-                    std::unordered_map<PersonId, int>& mine,
-                    const std::unordered_map<PersonId, int>& theirs,
-                    int& depth) -> int {
-    ++depth;
-    std::deque<PersonId> next;
-    int best = -1;
-    while (!frontier.empty()) {
-      PersonId pid = frontier.front();
-      frontier.pop_front();
-      const PersonRecord* p = store.FindPerson(pin, pid);
-      if (p == nullptr) continue;
-      for (const FriendEdge& e : p->friends.view()) {
-        if (mine.count(e.other) > 0) continue;
-        mine[e.other] = depth;
-        auto hit = theirs.find(e.other);
-        if (hit != theirs.end()) {
-          int total = depth + hit->second;
-          if (best < 0 || total < best) best = total;
-        }
-        next.push_back(e.other);
-      }
-    }
-    frontier = std::move(next);
-    return best;
-  };
-
-  while (!frontier_fwd.empty() || !frontier_bwd.empty()) {
-    bool forward = frontier_fwd.size() <= frontier_bwd.size()
-                       ? !frontier_fwd.empty()
-                       : frontier_bwd.empty();
-    int found = forward
-                    ? expand(frontier_fwd, dist_fwd, dist_bwd, depth_fwd)
-                    : expand(frontier_bwd, dist_bwd, dist_fwd, depth_bwd);
-    if (found >= 0) return found;
-  }
-  return -1;
+  return exec::ShortestPathLength(store, pin, person1, person2);
 }
 
 // ---- Q14 ----------------------------------------------------------------------
@@ -664,15 +581,14 @@ constexpr size_t kMaxPaths = 1000;
 
 /// All shortest Knows-paths person1 -> person2, capped at kMaxPaths, in
 /// parent-DAG DFS order (parents ascending by id). Distance 1 and 2 take
-/// kernel fast paths; the general case runs a BFS building the parent DAG,
-/// then an iterative DFS over it.
+/// sorted-set fast paths; the general case is exec::AllShortestPaths.
 ///
-/// The distance-2 fast path is exact: the BFS would fully process every
-/// depth-1 node before its `d >= target_dist` cut, so parents(person2) is
-/// ALL mutual friends; the DFS sorts parents ascending and each middle has
-/// the single parent person1, so paths enumerate in ascending middle-id
-/// order — which is exactly Intersect(friends(p1), friends(p2)) read left
-/// to right, including where a kMaxPaths cut lands.
+/// The distance-2 fast path is exact: the BFS fully expands depth 1 before
+/// stopping, so parents(person2) is ALL mutual friends; the DFS takes
+/// parents ascending and each middle has the single parent person1, so
+/// paths enumerate in ascending middle-id order — which is exactly
+/// Intersect(friends(p1), friends(p2)) read left to right, including where
+/// a kMaxPaths cut lands.
 std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
                                                  const store::ReadGuard& pin,
                                                  PersonId person1,
@@ -700,59 +616,8 @@ std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
     return paths;
   }
 
-  // Distance >= 3: BFS building the shortest-path parent DAG, then an
-  // iterative DFS enumerating paths backwards from person2.
-  std::unordered_map<PersonId, int> dist{{person1, 0}};
-  std::unordered_map<PersonId, std::vector<PersonId>> parents;
-  std::deque<PersonId> queue{person1};
-  int target_dist = -1;
-  while (!queue.empty()) {
-    PersonId pid = queue.front();
-    queue.pop_front();
-    int d = dist[pid];
-    if (target_dist >= 0 && d >= target_dist) break;
-    const PersonRecord* p = store.FindPerson(pin, pid);
-    if (p == nullptr) continue;
-    for (const FriendEdge& e : p->friends.view()) {
-      auto it = dist.find(e.other);
-      if (it == dist.end()) {
-        dist[e.other] = d + 1;
-        parents[e.other].push_back(pid);
-        queue.push_back(e.other);
-        if (e.other == person2) target_dist = d + 1;
-      } else if (it->second == d + 1) {
-        parents[e.other].push_back(pid);
-      }
-    }
-  }
-  if (target_dist < 0) return paths;
-
-  struct Frame {
-    PersonId node;
-    size_t next_parent;
-  };
-  std::vector<Frame> stack{{person2, 0}};
-  while (!stack.empty() && paths.size() < kMaxPaths) {
-    Frame& frame = stack.back();
-    if (frame.node == person1) {
-      std::vector<PersonId> path;
-      path.reserve(stack.size());
-      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        path.push_back(it->node);
-      }
-      paths.push_back(std::move(path));
-      stack.pop_back();
-      continue;
-    }
-    std::vector<PersonId>& ps = parents[frame.node];
-    std::sort(ps.begin(), ps.end());
-    if (frame.next_parent >= ps.size()) {
-      stack.pop_back();
-      continue;
-    }
-    PersonId parent = ps[frame.next_parent++];
-    stack.push_back({parent, 0});
-  }
+  // Distance >= 3: the traversal kernel's parent DAG and DFS.
+  exec::AllShortestPaths(store, pin, person1, person2, kMaxPaths, &paths);
   return paths;
 }
 

@@ -26,4 +26,21 @@ TimestampMs TimestampFromDate(int year, int month, int day) {
   return static_cast<TimestampMs>(secs) * kMillisPerSecond;
 }
 
+void MonthDayOf(TimestampMs ts, int* month, int* day) {
+  constexpr int64_t kSecondsPerDay = kMillisPerDay / kMillisPerSecond;
+  int64_t secs = ts / kMillisPerSecond;
+  int64_t days = secs / kSecondsPerDay;
+  if (secs % kSecondsPerDay < 0) --days;  // Floor, also before 1970.
+  // Civil-from-days over 400-year eras of 146097 days, with years starting
+  // on March 1 so the leap day is the last day of the year.
+  int64_t z = days + 719468;  // Days since 0000-03-01.
+  int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  int64_t doe = z - era * 146097;  // Day of era, [0, 146096].
+  int64_t yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
+  int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);  // [0, 365].
+  int64_t mp = (5 * doy + 2) / 153;  // Month from March, [0, 11].
+  *day = static_cast<int>(doy - (153 * mp + 2) / 5 + 1);
+  *month = static_cast<int>(mp < 10 ? mp + 3 : mp - 9);
+}
+
 }  // namespace snb::util

@@ -56,6 +56,12 @@ std::string FormatTimestamp(TimestampMs ts);
 /// Timestamp of the given calendar date at midnight UTC.
 TimestampMs TimestampFromDate(int year, int month, int day);
 
+/// Month (1-12) and day of month (1-31) of `ts`, UTC, by integer
+/// civil-from-days arithmetic. Equals gmtime_r of `ts / 1000` (seconds
+/// truncated toward zero, as that division does) without taking libc's
+/// process-wide timezone lock.
+void MonthDayOf(TimestampMs ts, int* month, int* day);
+
 }  // namespace snb::util
 
 #endif  // SNB_UTIL_DATETIME_H_

@@ -1,15 +1,19 @@
-// Concurrency stress: reader threads run CQ2/CQ9 in a tight loop while the
-// main thread replays the generated update stream against the same store
-// (epoch read mode, the default). Readers verify per-query invariants that
-// must hold under any snapshot; afterwards the stressed store must answer
-// identically to a replica loaded sequentially.
+// Concurrency stress: reader threads run CQ2/CQ9 and the traversal
+// queries CQ1/CQ13/CQ14 in a tight loop while the main thread replays the
+// generated update stream against the same store (epoch read mode, the
+// default). Traversal pairs include persons the stream adds, so the
+// per-thread traversal scratch grows while writers publish. Readers verify
+// per-query invariants that must hold under any snapshot; afterwards the
+// stressed store must answer identically to a replica loaded sequentially.
 //
 // Built under -DSNB_SANITIZE=thread this doubles as the TSan workload for
 // the lock-free read path (ctest -L concurrency).
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,6 +81,60 @@ std::string CheckQ9(const GraphStore& store,
   return "";
 }
 
+std::string CheckQ1(const GraphStore& store, const std::string& first_name,
+                    const std::vector<queries::Q1Result>& results) {
+  auto pin = store.ReadLock();
+  for (size_t i = 0; i < results.size(); ++i) {
+    const queries::Q1Result& r = results[i];
+    if (r.distance < 1 || r.distance > 3) return "Q1 distance out of 1..3";
+    if (i > 0) {
+      const queries::Q1Result& prev = results[i - 1];
+      bool ordered =
+          prev.distance < r.distance ||
+          (prev.distance == r.distance &&
+           (prev.last_name < r.last_name ||
+            (prev.last_name == r.last_name && prev.person_id < r.person_id)));
+      if (!ordered) return "Q1 results not (distance, last name, id) ordered";
+    }
+    const PersonRecord* p = store.FindPerson(pin, r.person_id);
+    if (p == nullptr) return "Q1 returned an unresolvable person id";
+    if (p->data.first_name != first_name) return "Q1 first name mismatch";
+  }
+  return "";
+}
+
+std::string CheckQ13(schema::PersonId person1, schema::PersonId person2,
+                     int distance) {
+  if (person1 == person2) return distance == 0 ? "" : "Q13 self is not 0";
+  if (distance == 0 || distance < -1) return "Q13 distance out of range";
+  return "";
+}
+
+std::string CheckQ14(const GraphStore& store, schema::PersonId person1,
+                     schema::PersonId person2,
+                     const std::vector<queries::Q14Result>& results) {
+  auto pin = store.ReadLock();
+  std::set<std::vector<schema::PersonId>> seen;
+  for (const queries::Q14Result& r : results) {
+    if (r.path.empty() || r.path.front() != person1 ||
+        r.path.back() != person2) {
+      return "Q14 path endpoints are not person1 .. person2";
+    }
+    if (r.path.size() != results.front().path.size()) {
+      return "Q14 paths of different lengths in one result";
+    }
+    // Friendships are insert-only, so a hop that was a friendship inside
+    // the query's snapshot is still one now.
+    for (size_t i = 0; i + 1 < r.path.size(); ++i) {
+      if (!store.AreFriends(pin, r.path[i], r.path[i + 1])) {
+        return "Q14 path hop is not a friendship";
+      }
+    }
+    if (!seen.insert(r.path).second) return "Q14 repeats a path";
+  }
+  return "";
+}
+
 TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
   datagen::DatagenConfig config = datagen::DatagenConfig::ForScaleFactor(0.02);
   datagen::Dataset ds = datagen::Generate(config);
@@ -92,6 +150,15 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
     persons = store.PersonIds(pin);
   }
   ASSERT_FALSE(persons.empty());
+  // Persons the update stream adds: traversals toward them reach ids past
+  // every reader's scratch while the writer publishes them.
+  std::vector<schema::PersonId> added;
+  for (const datagen::UpdateOperation& op : ds.updates) {
+    if (const auto* p = std::get_if<schema::Person>(&op.payload)) {
+      added.push_back(p->id);
+    }
+  }
+  ASSERT_FALSE(added.empty());
 
   constexpr int kReaders = 4;
   constexpr uint64_t kMinQueriesPerReader = 40;
@@ -123,8 +190,22 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
         report(CheckQ2(store, pid, q2));
         auto q9 = queries::Query9(store, pid, kFarFuture);
         report(CheckQ9(store, q9));
-        my.queries += 2;
-        my.results += q2.size() + q9.size();
+        // Traversals from, toward and between persons the stream adds.
+        schema::PersonId fresh = added[cursor % added.size()];
+        schema::PersonId fresh2 = added[(cursor * 7 + 3) % added.size()];
+        const std::string& name =
+            ds.bulk.persons[cursor % ds.bulk.persons.size()].first_name;
+        auto q1 = queries::Query1(store, fresh, name);
+        report(CheckQ1(store, name, q1));
+        int q13 = queries::Query13(store, pid, fresh);
+        report(CheckQ13(pid, fresh, q13));
+        auto q14 = queries::Query14(store, fresh2, pid);
+        report(CheckQ14(store, fresh2, pid, q14));
+        auto q14_new = queries::Query14(store, fresh, fresh2);
+        report(CheckQ14(store, fresh, fresh2, q14_new));
+        my.queries += 6;
+        my.results += q2.size() + q9.size() + q1.size() + q14.size() +
+                      q14_new.size();
       }
     });
   }
@@ -166,6 +247,18 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
       EXPECT_EQ(got[k].message_id, want[k].message_id);
       EXPECT_EQ(got[k].creator_id, want[k].creator_id);
       EXPECT_EQ(got[k].creation_date, want[k].creation_date);
+    }
+    // Traversals toward an added person.
+    schema::PersonId fresh = added[(i * 13) % added.size()];
+    EXPECT_EQ(queries::Query13(store, pid, fresh),
+              queries::Query13(replica, pid, fresh))
+        << pid << " -> " << fresh;
+    auto got14 = queries::Query14(store, pid, fresh);
+    auto want14 = queries::Query14(replica, pid, fresh);
+    ASSERT_EQ(got14.size(), want14.size()) << pid << " -> " << fresh;
+    for (size_t k = 0; k < got14.size(); ++k) {
+      EXPECT_EQ(got14[k].path, want14[k].path);
+      EXPECT_EQ(got14[k].weight, want14[k].weight);
     }
   }
 }

@@ -1,5 +1,7 @@
 // Edge-case tests for the read queries: missing entities, empty graphs,
 // boundary limits, and degenerate parameters.
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
@@ -8,7 +10,10 @@
 #include "queries/query9_plans.h"
 #include "queries/short_queries.h"
 #include "queries/update_queries.h"
+#include "relational/rel_queries.h"
+#include "relational/relational_db.h"
 #include "store/graph_store.h"
+#include "validate/oracle.h"
 
 namespace snb::queries {
 namespace {
@@ -271,6 +276,90 @@ TEST(QueriesEdgeTest, Q12EmptyTagClass) {
   EXPECT_TRUE(Query12(store, 0, empty_class).empty());
   std::vector<bool> no_tags;  // Out-of-range tag ids must not crash.
   EXPECT_TRUE(Query12(store, 0, no_tags).empty());
+}
+
+// p1 - A(32) - B(32) - p2 with A x B complete: 1,024 shortest paths of
+// length 3, so Q14's 1000-path cap lands inside the distance >= 3 path
+// enumeration. The cut keeps the first 1000 paths of the DFS from p2
+// (parents ascending): every b but the last with all 32 a's, then the
+// last b with a's 0..7. Store, oracle and relational backend must keep the
+// same paths and rank them identically, weights bit for bit.
+TEST(QueriesEdgeTest, Q14CapsDistanceThreePathsLikeTheReferences) {
+  constexpr schema::PersonId kP1 = 0;
+  constexpr schema::PersonId kFirstA = 1;
+  constexpr schema::PersonId kFirstB = 33;
+  constexpr schema::PersonId kP2 = 65;
+  constexpr int kSide = 32;
+  schema::SocialNetwork net;
+  for (schema::PersonId id = kP1; id <= kP2; ++id) {
+    net.persons.push_back(MakePerson(id));
+  }
+  for (int i = 0; i < kSide; ++i) {
+    net.knows.push_back({kP1, kFirstA + i, 2000});
+    net.knows.push_back({kFirstB + i, kP2, 2000});
+    for (int j = 0; j < kSide; ++j) {
+      net.knows.push_back({kFirstA + i, kFirstB + j, 2000});
+    }
+  }
+  // Weights: every A posts once; B persons reply to some A posts (1.0
+  // each) and to each other's replies (0.5 each), so ranks mix weights
+  // and the path tie-break.
+  schema::Forum forum;
+  forum.id = 0;
+  forum.moderator_id = kP1;
+  forum.creation_date = 2000;
+  net.forums.push_back(forum);
+  schema::MessageId next_id = 0;
+  auto add_message = [&](schema::PersonId creator, schema::MessageId reply_to,
+                         schema::MessageId root) {
+    schema::Message m;
+    m.id = next_id++;
+    m.kind = reply_to == schema::kInvalidId ? schema::MessageKind::kPost
+                                            : schema::MessageKind::kComment;
+    m.creator_id = creator;
+    m.forum_id = forum.id;
+    m.reply_to_id = reply_to;
+    m.root_post_id = reply_to == schema::kInvalidId ? m.id : root;
+    m.creation_date = 3000 + static_cast<util::TimestampMs>(m.id);
+    net.messages.push_back(m);
+    return m.id;
+  };
+  for (int i = 0; i < kSide; ++i) {
+    schema::MessageId post = add_message(kFirstA + i, schema::kInvalidId, 0);
+    for (int j = 0; j < kSide; ++j) {
+      if ((i * 7 + j * 3) % 5 != 0) continue;
+      schema::MessageId reply = add_message(kFirstB + j, post, post);
+      if ((i + j) % 3 == 0) add_message(kFirstA + i, reply, post);
+    }
+  }
+
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(net).ok());
+  rel::RelationalDb db;
+  ASSERT_TRUE(db.BulkLoad(net).ok());
+  validate::Oracle oracle(net);
+
+  std::vector<Q14Result> got = Query14(store, kP1, kP2);
+  std::vector<Q14Result> want = oracle.Query14(kP1, kP2);
+  std::vector<Q14Result> rel_got = rel::Query14(db, kP1, kP2);
+  ASSERT_EQ(got.size(), 1000u);
+  ASSERT_EQ(want.size(), 1000u);
+  ASSERT_EQ(rel_got.size(), 1000u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(got[i].path.size(), 4u);
+    EXPECT_EQ(got[i].path, want[i].path);
+    EXPECT_EQ(got[i].path, rel_got[i].path);
+    EXPECT_EQ(std::memcmp(&got[i].weight, &want[i].weight, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&got[i].weight, &rel_got[i].weight, sizeof(double)),
+              0);
+    // The 24 paths past the cap all run through the last b with a >= 8.
+    bool past_cap = got[i].path[2] == kFirstB + kSide - 1 &&
+                    got[i].path[1] >= kFirstA + 8;
+    EXPECT_FALSE(past_cap);
+  }
+  // Weights are not all equal, so the ranking is not just the path order.
+  EXPECT_NE(got.front().weight, got.back().weight);
 }
 
 }  // namespace

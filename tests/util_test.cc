@@ -1,6 +1,7 @@
 // Unit tests for the util substrate.
 #include <atomic>
 #include <cmath>
+#include <ctime>
 #include <set>
 #include <vector>
 
@@ -202,6 +203,47 @@ TEST(DatetimeTest, NetworkStartFormats) {
 TEST(DatetimeTest, TimestampFromDateRoundTrips) {
   TimestampMs ts = TimestampFromDate(2012, 6, 15);
   EXPECT_EQ(FormatTimestamp(ts), "2012-06-15 00:00:00");
+}
+
+// util::MonthDayOf against libc: gmtime_r of ts / 1000, which truncates
+// toward zero, so -1 ms still falls on 1970-01-01.
+void ExpectMonthDayMatchesGmtime(TimestampMs ts) {
+  std::time_t secs = static_cast<std::time_t>(ts / kMillisPerSecond);
+  std::tm tm_utc{};
+  ASSERT_NE(gmtime_r(&secs, &tm_utc), nullptr);
+  int month = 0, day = 0;
+  MonthDayOf(ts, &month, &day);
+  ASSERT_EQ(month, tm_utc.tm_mon + 1) << "ts " << ts;
+  ASSERT_EQ(day, tm_utc.tm_mday) << "ts " << ts;
+}
+
+TEST(DatetimeTest, MonthDayOfMatchesGmtimeEveryDay1900To2100) {
+  TimestampMs first = TimestampFromDate(1900, 1, 1);
+  TimestampMs last = TimestampFromDate(2100, 12, 31);
+  ASSERT_LT(first, 0);
+  for (TimestampMs day = first; day <= last; day += kMillisPerDay) {
+    for (TimestampMs offset : {TimestampMs{0}, TimestampMs{1}, TimestampMs{999},
+                               kMillisPerDay / 2 + 7, kMillisPerDay - 1}) {
+      ExpectMonthDayMatchesGmtime(day + offset);
+    }
+  }
+}
+
+TEST(DatetimeTest, MonthDayOfTruncatesNegativeMillisTowardZero) {
+  for (TimestampMs ts : {TimestampMs{-1}, TimestampMs{-999}, TimestampMs{-1000},
+                         TimestampMs{-1001}, -kMillisPerDay + 1,
+                         -kMillisPerDay - 1, -kMillisPerDay * 365 - 1234567,
+                         TimestampFromDate(1900, 3, 1) - 1,
+                         TimestampFromDate(1969, 12, 31) - 500}) {
+    ExpectMonthDayMatchesGmtime(ts);
+  }
+  int month = 0, day = 0;
+  MonthDayOf(-1, &month, &day);  // Truncates to second 0: still Jan 1.
+  EXPECT_EQ(month, 1);
+  EXPECT_EQ(day, 1);
+  MonthDayOf(-1001, &month, &day);
+  EXPECT_EQ(month, 12);
+  EXPECT_EQ(day, 31);
 }
 
 TEST(DatetimeTest, MonthIndexClampsAndCounts) {
