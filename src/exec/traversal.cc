@@ -1,7 +1,6 @@
 #include "exec/traversal.h"
 
 #include <algorithm>
-#include <functional>
 
 namespace snb::exec {
 
@@ -20,14 +19,11 @@ void TraversalScratch::Begin() {
     }
     epoch_ = 1;
   }
-  link_next_.clear();
-  link_parent_.clear();
 }
 
 void TraversalScratch::Grow(size_t need) {
   size_ = std::max(need, size_ + size_ / 2);
   for (std::vector<Slot>& side : sides_) side.resize(size_);
-  head_.resize(size_, kNoLink);
 }
 
 int ShortestPathLength(const store::GraphStore& store,
@@ -78,47 +74,50 @@ void AllShortestPaths(const store::GraphStore& store,
                       std::vector<std::vector<uint64_t>>* paths) {
   TraversalScratch& s = TraversalScratch::Local();
   s.Begin();
+  const PersonRecord* target = store.FindPerson(pin, person2);
+  if (target == nullptr) return;
+  // Read once: the stop test and the DFS root see the same friend list.
+  util::RcuVector<FriendEdge>::View into = target->friends.view();
+  auto at = [&s](uint64_t id, uint32_t depth) {
+    return s.Has(0, id) && s.Dist(0, id) == depth;
+  };
+  auto has_friend_at = [&at, &into](uint32_t depth) {
+    for (const FriendEdge& e : into) {
+      if (at(e.other, depth)) return true;
+    }
+    return false;
+  };
+
   s.Reach(person1);
   s.Mark(0, person1, 0);
-  s.head_[person1] = TraversalScratch::kNoLink;
   std::vector<uint64_t>& frontier = s.frontier(0);
   std::vector<uint64_t>& next = s.next();
   frontier.assign(1, person1);
-
-  // Level d links every node at depth d+1 to each of its depth-d
-  // neighbours. Visiting a level in descending id order and prepending
-  // each link leaves every parent list ascending. The level that reaches
-  // person2 is the last one: all of person2's parents are then linked.
-  bool found = false;
-  for (uint32_t d = 0; !found && !frontier.empty(); ++d) {
-    std::sort(frontier.begin(), frontier.end(), std::greater<>());
+  uint32_t d = 0;
+  for (; !has_friend_at(d); ++d) {
+    if (frontier.empty()) return;  // person2 is unreachable.
     next.clear();
     for (uint64_t pid : frontier) {
       const PersonRecord* p = store.FindPerson(pin, pid);
       if (p == nullptr) continue;
       for (const FriendEdge& e : p->friends.view()) {
         s.Reach(e.other);
-        if (!s.Seen(0, e.other)) {
-          s.Mark(0, e.other, d + 1);
-          s.head_[e.other] = TraversalScratch::kNoLink;
-          next.push_back(e.other);
-          if (e.other == person2) found = true;
-        } else if (s.Dist(0, e.other) != d + 1) {
-          continue;
-        }
-        s.AddParent(e.other, pid);
+        if (s.Seen(0, e.other)) continue;
+        s.Mark(0, e.other, d + 1);
+        next.push_back(e.other);
       }
     }
     frontier.swap(next);
   }
-  if (!found) return;
 
-  // DFS backwards from person2; a frame's link is the next parent to try.
+  // DFS backwards from person2 (depth d + 1). A frame's parents are the
+  // friends at one depth less, tried in friend-list (ascending id) order;
+  // only person1 sits at depth 0.
   std::vector<TraversalScratch::Frame>& stack = s.stack_;
-  stack.assign(1, {person2, s.head_[person2]});
+  stack.assign(1, {person2, d + 1, into.begin(), into.end()});
   while (!stack.empty() && paths->size() < max_paths) {
     TraversalScratch::Frame& frame = stack.back();
-    if (frame.node == person1) {
+    if (frame.depth == 0) {
       std::vector<uint64_t>& path = paths->emplace_back();
       path.reserve(stack.size());
       for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
@@ -127,13 +126,21 @@ void AllShortestPaths(const store::GraphStore& store,
       stack.pop_back();
       continue;
     }
-    if (frame.link == TraversalScratch::kNoLink) {
+    uint32_t want = frame.depth - 1;
+    while (frame.next != frame.end && !at(frame.next->other, want)) {
+      ++frame.next;
+    }
+    if (frame.next == frame.end) {
       stack.pop_back();
       continue;
     }
-    uint64_t parent = s.link_parent_[frame.link];
-    frame.link = s.link_next_[frame.link];
-    stack.push_back({parent, s.head_[parent]});
+    uint64_t parent = (frame.next++)->other;
+    util::RcuVector<FriendEdge>::View friends;
+    if (want > 0) {
+      const PersonRecord* p = store.FindPerson(pin, parent);
+      if (p != nullptr) friends = p->friends.view();
+    }
+    stack.push_back({parent, want, friends.begin(), friends.end()});
   }
 }
 

@@ -11,8 +11,6 @@
 //     traversal is O(1): bump the epoch. When the u32 epoch wraps to 0
 //     every stamp is cleared once and the epoch restarts at 1 — stamp 0
 //     never matches, which is also what freshly grown slots hold;
-//   * a parent-link arena for the shortest-path DAG: head[v] is the first
-//     link of v's parent list, next[i]/parent[i] are the list cells;
 //   * reusable frontier buffers and a DFS stack.
 //
 // The arrays grow (geometrically, marks preserved) whenever an id at or
@@ -38,7 +36,7 @@ class TraversalScratch {
   /// This thread's scratch.
   static TraversalScratch& Local();
 
-  /// Starts a traversal: forgets every mark and parent link.
+  /// Starts a traversal: forgets every mark.
   void Begin();
 
   /// Makes `id` addressable; call before touching any id.
@@ -48,6 +46,10 @@ class TraversalScratch {
 
   bool Seen(int side, uint64_t id) const {
     return sides_[side][id].stamp == epoch_;
+  }
+  /// Seen() for any id, addressable or not.
+  bool Has(int side, uint64_t id) const {
+    return id < size_ && Seen(side, id);
   }
   uint32_t Dist(int side, uint64_t id) const { return sides_[side][id].dist; }
   void Mark(int side, uint64_t id, uint32_t dist) {
@@ -70,31 +72,24 @@ class TraversalScratch {
                                uint64_t person2, size_t max_paths,
                                std::vector<std::vector<uint64_t>>* paths);
 
-  static constexpr uint32_t kNoLink = UINT32_MAX;  // End of a parent list.
-
   struct Slot {
     uint32_t stamp = 0;
     uint32_t dist = 0;
   };
+  /// A DFS node at BFS depth `depth`; [next, end) is the rest of its
+  /// friend list still to be tried as parents.
   struct Frame {
     uint64_t node;
-    uint32_t link;  // Next parent link to descend into.
+    uint32_t depth;
+    const store::FriendEdge* next;
+    const store::FriendEdge* end;
   };
 
   void Grow(size_t need);
-  /// Prepends `parent` to `id`'s parent list.
-  void AddParent(uint64_t id, uint64_t parent) {
-    link_parent_.push_back(parent);
-    link_next_.push_back(head_[id]);
-    head_[id] = static_cast<uint32_t>(link_next_.size() - 1);
-  }
 
   uint32_t epoch_ = 0;
   size_t size_ = 0;
   std::vector<Slot> sides_[2];
-  std::vector<uint32_t> head_;  // First parent link per person.
-  std::vector<uint32_t> link_next_;
-  std::vector<uint64_t> link_parent_;
   std::vector<uint64_t> frontier_[2];
   std::vector<uint64_t> next_;
   std::vector<Frame> stack_;
@@ -142,11 +137,14 @@ int ShortestPathLength(const store::GraphStore& store,
 
 /// Every shortest Knows path person1 -> person2 (distinct persons), at
 /// most `max_paths`, appended to `paths` (Q14). A level-synchronous BFS
-/// from person1 builds the parent DAG; an iterative DFS from person2 then
-/// enumerates paths, descending into parents in ascending id order, so
-/// the enumeration order — and where the `max_paths` cut lands — is that
-/// of a DFS over id-sorted parent lists. Appends nothing when person2 is
-/// unreachable.
+/// from person1 stops one level early: before expanding level d it scans
+/// person2's friend list, and the first friend at depth d puts person2 at
+/// d + 1 with every depth <= d final. An iterative DFS from person2 then
+/// takes a depth-k node's parents from its id-sorted friend list (the
+/// friends at depth k - 1), so the enumeration order — and where the
+/// `max_paths` cut lands — is that of a DFS over id-sorted parent lists.
+/// Each descent lowers the depth by one, so the stack holds at most d + 2
+/// frames. Appends nothing when person2 is unreachable.
 void AllShortestPaths(const store::GraphStore& store,
                       const store::ReadGuard& pin, uint64_t person1,
                       uint64_t person2, size_t max_paths,

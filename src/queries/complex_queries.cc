@@ -532,14 +532,10 @@ std::vector<Q12Result> Query12(const GraphStore& store, PersonId start,
     const PersonRecord* f = store.FindPerson(pin, fid);
     if (f == nullptr) continue;
     uint32_t count = 0;
-    for (const DatedEdge& e : f->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind != MessageKind::kComment) continue;
-      const MessageRecord* parent = store.FindMessage(pin, m->data.reply_to_id);
-      if (parent == nullptr ||
-          parent->data.kind == MessageKind::kComment) {
-        continue;  // Only replies to posts count.
-      }
+    for (const store::ReplyEdge& r : f->replied_to.view()) {
+      if (r.parent_is_comment) continue;  // Only replies to posts count.
+      const MessageRecord* parent = store.FindMessage(pin, r.parent);
+      if (parent == nullptr) continue;
       for (schema::TagId t : parent->data.tags) {
         if (t < tag_in_class.size() && tag_in_class[t]) {
           ++count;
@@ -623,9 +619,9 @@ std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
 
 }  // namespace
 
-// Weights: each distinct path person's comment list is scanned ONCE and
+// Weights: each distinct path person's reply targets are scanned ONCE and
 // accumulated into a flat hash map of the needed {u, v} pairs, instead of
-// re-scanning both comment lists per path edge. Every contribution is a
+// re-scanning both persons' replies per path edge. Every contribution is a
 // dyadic rational (0.5 or 1.0) and every partial sum stays far below 2^52,
 // so IEEE addition is exact and grouping cannot change the result: the
 // weights are bit-equal to a per-edge sum (validate::Oracle's formulation).
@@ -646,17 +642,22 @@ std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
       ShortestPaths(store, pin, person1, person2);
   if (paths.empty()) return results;
 
-  // Distinct persons on any path, id-sorted, as the pair-index domain.
+  // Distinct persons on any path, in first-seen order, as the pair-index
+  // domain. The thread's traversal scratch maps a person to its index
+  // (side 1), so the probe below resolves a reply target with one load.
+  exec::TraversalScratch& scratch = exec::TraversalScratch::Local();
+  scratch.Begin();
   std::vector<uint64_t> persons;
   for (const auto& path : paths) {
-    persons.insert(persons.end(), path.begin(), path.end());
+    for (uint64_t id : path) {
+      scratch.Reach(id);
+      if (scratch.Seen(1, id)) continue;
+      scratch.Mark(1, id, static_cast<uint32_t>(persons.size()));
+      persons.push_back(id);
+    }
   }
-  std::sort(persons.begin(), persons.end());
-  persons.erase(std::unique(persons.begin(), persons.end()), persons.end());
-  auto index_of = [&persons](uint64_t id) -> size_t {
-    auto it = std::lower_bound(persons.begin(), persons.end(), id);
-    if (it == persons.end() || *it != id) return persons.size();
-    return static_cast<size_t>(it - persons.begin());
+  auto index_of = [&scratch, &persons](uint64_t id) -> size_t {
+    return scratch.Has(1, id) ? scratch.Dist(1, id) : persons.size();
   };
   auto pair_key = [&persons](size_t u, size_t v) -> uint64_t {
     return static_cast<uint64_t>(std::min(u, v)) * persons.size() +
@@ -677,25 +678,19 @@ std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
     }
   }
 
-  // Probe side: one pass over each distinct person's comments. A comment
-  // by u replying to a message of v lands in pair {u, v} iff that pair is
-  // a path edge — together the passes over u and v see exactly the
-  // replies exchanged between u and v.
+  // Probe side: one pass over each distinct person's reply targets. A
+  // comment by u replying to a message of v lands in pair {u, v} iff that
+  // pair is a path edge — together the passes over u and v see exactly
+  // the replies exchanged between u and v.
   for (size_t uidx = 0; uidx < persons.size(); ++uidx) {
     const PersonRecord* p = store.FindPerson(pin, persons[uidx]);
     if (p == nullptr) continue;
-    for (const DatedEdge& e : p->messages.view()) {
-      const MessageRecord* m = store.FindMessage(pin, e.id);
-      if (m == nullptr || m->data.kind != MessageKind::kComment) continue;
-      const MessageRecord* parent =
-          store.FindMessage(pin, m->data.reply_to_id);
-      if (parent == nullptr) continue;
-      size_t vidx = index_of(parent->data.creator_id);
+    for (const store::ReplyEdge& r : p->replied_to.view()) {
+      size_t vidx = index_of(r.parent_creator);
       if (vidx == persons.size()) continue;
       const uint64_t* acc = pair_index.Find(pair_key(uidx, vidx));
       if (acc == nullptr) continue;
-      pair_weight[*acc] +=
-          parent->data.kind == MessageKind::kComment ? 0.5 : 1.0;
+      pair_weight[*acc] += r.parent_is_comment ? 0.5 : 1.0;
     }
   }
 

@@ -172,6 +172,10 @@ Status GraphStore::AddMessage(const Message& message) {
       epoch);
   if (parent != nullptr) {
     parent->replies.push_back(message.id, epoch);
+    creator->replied_to.push_back(
+        {message.reply_to_id, parent->data.creator_id,
+         parent->data.kind == schema::MessageKind::kComment},
+        epoch);
   } else {
     forum->posts.push_back(message.id, epoch);
   }
@@ -251,7 +255,8 @@ StorageBreakdown GraphStore::ComputeStorageBreakdown() const {
     b.friends_bytes += p->friends.capacity_bytes();
     b.membership_bytes += p->forums.capacity_bytes();
     b.likes_bytes += p->likes.capacity_bytes();
-    b.message_bytes += p->messages.capacity_bytes();
+    b.message_bytes +=
+        p->messages.capacity_bytes() + p->replied_to.capacity_bytes();
   }
   for (uint64_t id = 0, bound = forums_.bound(); id < bound; ++id) {
     const ForumRecord* f = Live(forums_.Slot(id));

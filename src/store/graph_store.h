@@ -4,7 +4,9 @@
 // from-scratch substitute (see DESIGN.md). It keeps the whole SNB graph in
 // adjacency-indexed form:
 //   * persons with friend lists (sorted), created messages (in time order,
-//     creation dates inline), joined forums and given likes;
+//     creation dates inline), the reply target of each created comment
+//     (parent id, parent creator, parent kind), joined forums and given
+//     likes;
 //   * forums with member lists and contained root posts;
 //   * messages (dense, id-indexed; ids increase with creation time, so the
 //     message table is a clustered creation-date index — the locality
@@ -72,6 +74,16 @@ struct DatedEdge {
   util::TimestampMs date = 0;
 };
 
+/// What one created comment replies to: its parent message, the parent's
+/// creator and whether the parent is itself a comment. Q12 and Q14 read
+/// this instead of resolving the comment and its parent in the message
+/// table.
+struct ReplyEdge {
+  schema::MessageId parent = schema::kInvalidId;
+  schema::PersonId parent_creator = schema::kInvalidId;
+  bool parent_is_comment = false;
+};
+
 /// Per-person storage: attributes plus adjacency indexes. `data` is
 /// immutable once `ready` is published; adjacency lists keep growing.
 struct PersonRecord {
@@ -84,6 +96,8 @@ struct PersonRecord {
   /// partitions). The date rides inline so date-bounded scans (Q2/Q9)
   /// never touch the message table for candidates they discard.
   util::RcuVector<DatedEdge> messages;
+  /// One entry per created comment, in application order.
+  util::RcuVector<ReplyEdge> replied_to;
   /// Forums joined, with join dates.
   util::RcuVector<DatedEdge> forums;
   /// Likes given: liked message + like date.
@@ -120,7 +134,7 @@ struct MessageRecord {
 
 /// Byte sizes of the store's main structures (Table 8 equivalent).
 struct StorageBreakdown {
-  uint64_t message_bytes = 0;      // Message table incl. content.
+  uint64_t message_bytes = 0;      // Messages, creator and reply lists.
   uint64_t message_content_bytes = 0;
   uint64_t likes_bytes = 0;        // Like edges (both directions).
   uint64_t membership_bytes = 0;   // forum_person edges (both directions).

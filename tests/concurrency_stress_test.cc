@@ -1,13 +1,16 @@
-// Concurrency stress: reader threads run CQ2/CQ9 and the traversal
+// Concurrency stress: reader threads run CQ2/CQ9, CQ12 and the traversal
 // queries CQ1/CQ13/CQ14 in a tight loop while the main thread replays the
 // generated update stream against the same store (epoch read mode, the
 // default). Traversal pairs include persons the stream adds, so the
-// per-thread traversal scratch grows while writers publish. Readers verify
+// per-thread traversal scratch grows while writers publish; CQ12 starts
+// at persons whose friends' reply-target lists the stream appends to, and
+// CQ14 weighs paths over the same lists. Readers verify
 // per-query invariants that must hold under any snapshot; afterwards the
 // stressed store must answer identically to a replica loaded sequentially.
 //
 // Built under -DSNB_SANITIZE=thread this doubles as the TSan workload for
 // the lock-free read path (ctest -L concurrency).
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <set>
@@ -103,6 +106,30 @@ std::string CheckQ1(const GraphStore& store, const std::string& first_name,
   return "";
 }
 
+std::string CheckQ12(const GraphStore& store, schema::PersonId start,
+                     const std::vector<queries::Q12Result>& results,
+                     size_t limit) {
+  auto pin = store.ReadLock();
+  if (results.size() > limit) return "Q12 returned more rows than the limit";
+  std::set<schema::PersonId> seen;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const queries::Q12Result& r = results[i];
+    if (r.reply_count == 0) return "Q12 returned a zero count";
+    if (i > 0) {
+      const queries::Q12Result& prev = results[i - 1];
+      bool ordered = prev.reply_count > r.reply_count ||
+                     (prev.reply_count == r.reply_count &&
+                      prev.person_id < r.person_id);
+      if (!ordered) return "Q12 results not (count desc, id asc) ordered";
+    }
+    if (!seen.insert(r.person_id).second) return "Q12 repeats a person";
+    if (!store.AreFriends(pin, start, r.person_id)) {
+      return "Q12 person is not a friend of the start person";
+    }
+  }
+  return "";
+}
+
 std::string CheckQ13(schema::PersonId person1, schema::PersonId person2,
                      int distance) {
   if (person1 == person2) return distance == 0 ? "" : "Q13 self is not 0";
@@ -124,9 +151,14 @@ std::string CheckQ14(const GraphStore& store, schema::PersonId person1,
       return "Q14 paths of different lengths in one result";
     }
     // Friendships are insert-only, so a hop that was a friendship inside
-    // the query's snapshot is still one now.
+    // the query's snapshot is still one now. AddFriendship links the two
+    // halves one after the other, and the query may have read a hop from
+    // either end's friend list (the DFS reads the end nearer person2, the
+    // fast paths person1's or person2's), so a hop counts as a friendship
+    // when either end's list holds the other.
     for (size_t i = 0; i + 1 < r.path.size(); ++i) {
-      if (!store.AreFriends(pin, r.path[i], r.path[i + 1])) {
+      if (!store.AreFriends(pin, r.path[i], r.path[i + 1]) &&
+          !store.AreFriends(pin, r.path[i + 1], r.path[i])) {
         return "Q14 path hop is not a friendship";
       }
     }
@@ -159,6 +191,30 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
     }
   }
   ASSERT_FALSE(added.empty());
+  // Q12 starts: bulk friends of persons who comment in the update stream.
+  std::set<schema::PersonId> commenters;
+  for (const datagen::UpdateOperation& op : ds.updates) {
+    const auto* m = std::get_if<schema::Message>(&op.payload);
+    if (m != nullptr && m->kind == schema::MessageKind::kComment) {
+      commenters.insert(m->creator_id);
+    }
+  }
+  std::set<schema::PersonId> q12_set;
+  for (const schema::Knows& k : ds.bulk.knows) {
+    if (commenters.count(k.person2_id) != 0) q12_set.insert(k.person1_id);
+    if (commenters.count(k.person1_id) != 0) q12_set.insert(k.person2_id);
+  }
+  std::vector<schema::PersonId> q12_starts(q12_set.begin(), q12_set.end());
+  ASSERT_FALSE(q12_starts.empty());
+  // Every other tag id is in the class, so the tag test both passes and
+  // fails.
+  schema::TagId max_tag = 0;
+  for (const schema::Message& m : ds.bulk.messages) {
+    for (schema::TagId t : m.tags) max_tag = std::max(max_tag, t);
+  }
+  std::vector<bool> tag_class(max_tag + 1);
+  for (schema::TagId t = 0; t <= max_tag; t += 2) tag_class[t] = true;
+  constexpr int kQ12Limit = 20;
 
   constexpr int kReaders = 4;
   constexpr uint64_t kMinQueriesPerReader = 40;
@@ -203,9 +259,12 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
         report(CheckQ14(store, fresh2, pid, q14));
         auto q14_new = queries::Query14(store, fresh, fresh2);
         report(CheckQ14(store, fresh, fresh2, q14_new));
-        my.queries += 6;
+        schema::PersonId q12_start = q12_starts[cursor % q12_starts.size()];
+        auto q12 = queries::Query12(store, q12_start, tag_class, kQ12Limit);
+        report(CheckQ12(store, q12_start, q12, kQ12Limit));
+        my.queries += 7;
         my.results += q2.size() + q9.size() + q1.size() + q14.size() +
-                      q14_new.size();
+                      q14_new.size() + q12.size();
       }
     });
   }
@@ -261,6 +320,20 @@ TEST(ConcurrencyStressTest, ReadersRaceUpdateReplay) {
       EXPECT_EQ(got14[k].weight, want14[k].weight);
     }
   }
+  // Q12 over the reply-target lists the stream appended to.
+  size_t q12_rows = 0;
+  for (size_t i = 0; i < q12_starts.size(); i += 3) {
+    schema::PersonId start = q12_starts[i];
+    auto got = queries::Query12(store, start, tag_class, kQ12Limit);
+    auto want = queries::Query12(replica, start, tag_class, kQ12Limit);
+    ASSERT_EQ(got.size(), want.size()) << "person " << start;
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].person_id, want[k].person_id);
+      EXPECT_EQ(got[k].reply_count, want[k].reply_count);
+    }
+    q12_rows += got.size();
+  }
+  EXPECT_GT(q12_rows, 0u);
 }
 
 }  // namespace

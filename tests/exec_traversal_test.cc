@@ -1,8 +1,9 @@
 // Tests for the traversal kernel (exec/traversal.h): the epoch reset and
 // its wrap-around, growth past the scratch size mid-traversal, no stale
-// state across back-to-back Q14/Q13/Q1 on one thread, the Q1 level bound
-// and the parent-ordered path enumeration. validate::Oracle (its own
-// hash-map BFS) is the reference throughout.
+// state across back-to-back Q14/Q13/Q1 on one thread, the Q1 level bound,
+// the parent-ordered path enumeration and the BFS stop one level before
+// person2's. validate::Oracle (its own hash-map BFS) is the reference
+// throughout.
 #include "exec/traversal.h"
 
 #include <cstdint>
@@ -41,6 +42,30 @@ void Build(store::GraphStore* store, uint64_t n,
   }
   for (auto [a, b] : edges) {
     ASSERT_TRUE(store->AddFriendship({a, b, 2000}).ok());
+  }
+}
+
+// Persons 0..n-1 and the given friendships as a network, for BulkLoad and
+// validate::Oracle alike.
+schema::SocialNetwork Network(
+    uint64_t n, const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
+  schema::SocialNetwork net;
+  for (uint64_t id = 0; id < n; ++id) net.persons.push_back(MakePerson(id));
+  for (auto [a, b] : edges) net.knows.push_back({a, b, 2000});
+  return net;
+}
+
+// Query14 on the store equals the oracle's, row for row.
+void ExpectQ14MatchesOracle(const store::GraphStore& store,
+                            const schema::SocialNetwork& net, uint64_t p1,
+                            uint64_t p2) {
+  std::vector<queries::Q14Result> got = queries::Query14(store, p1, p2);
+  std::vector<queries::Q14Result> want =
+      validate::Oracle(net).Query14(p1, p2);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].path, want[k].path);
+    EXPECT_EQ(got[k].weight, want[k].weight);
   }
 }
 
@@ -210,6 +235,88 @@ TEST(TraversalTest, PathsEnumerateParentsAscendingAndCapInOrder) {
   AllShortestPaths(store, pin, 0, 10, 1000, &paths);
   EXPECT_TRUE(paths.empty());
   EXPECT_EQ(ShortestPathLength(store, pin, 0, 10), -1);
+}
+
+TEST(TraversalTest, StopsBeforeExpandingTheLevelThatReachesPerson2) {
+  // 0 -> 1..8 -> i*10 + {0..4} for each i; person2 = 200 hangs off 13
+  // (via 1), 34 (via 3 and 5) and 72 (via 7). Every depth-2 node also has
+  // five depth-3 children (300 + ...), so person2's level is large; 201
+  // sits at person2's depth and 202 one deeper, both person2's friends.
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (uint64_t i = 1; i <= 8; ++i) {
+    edges.push_back({0, i});
+    for (uint64_t j = 0; j < 5; ++j) {
+      uint64_t mid = i * 10 + j;
+      edges.push_back({i, mid});
+      for (uint64_t k = 0; k < 5; ++k) {
+        edges.push_back({mid, 300 + mid * 5 + k});
+      }
+    }
+  }
+  edges.push_back({5, 34});
+  for (uint64_t parent : {72, 13, 34}) edges.push_back({parent, 200});
+  edges.push_back({54, 201});
+  edges.push_back({201, 200});
+  edges.push_back({201, 202});
+  edges.push_back({202, 200});
+  const uint64_t n = 300 + 85 * 5;
+  schema::SocialNetwork net = Network(n, edges);
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(net).ok());
+
+  OnFreshThread([&] {
+    TraversalScratch& s = TraversalScratch::Local();
+    auto pin = store.ReadLock();
+    std::vector<Path> paths;
+    AllShortestPaths(store, pin, 0, 200, 1000, &paths);
+    std::vector<Path> want = {{0, 1, 13, 200},
+                              {0, 3, 34, 200},
+                              {0, 5, 34, 200},
+                              {0, 7, 72, 200}};
+    EXPECT_EQ(paths, want);
+    // Depths 0..2 are final and depth 2 was never expanded: no node of
+    // person2's level, person2 included, carries a mark.
+    EXPECT_EQ(s.Dist(0, 34), 2u);
+    for (uint64_t id : {200, 201, 202, 300 + 13 * 5, 300 + 84 * 5 + 4}) {
+      EXPECT_FALSE(s.Has(0, id)) << id;
+    }
+    paths.clear();
+    AllShortestPaths(store, pin, 0, 200, 2, &paths);
+    want.resize(2);
+    EXPECT_EQ(paths, want);
+  });
+  ExpectQ14MatchesOracle(store, net, 0, 200);
+  ExpectQ14MatchesOracle(store, net, 200, 0);
+}
+
+TEST(TraversalTest, ParentsSkipSameDepthAndDeeperFriends) {
+  // person1 = 50, person2 = 40 at depth 3. Every DFS node's friend list
+  // interleaves its parents with friends at its own depth and deeper:
+  //   depth 1: 10, 30, 70 (10-30 and 30-70 are same-depth edges)
+  //   depth 2: 20 (via 10, 30), 60 (via 30, 70), 20-60 same depth, and
+  //            1 (via 10 only)
+  //   depth 3: 40 (person2, via 20, 60), 5 and 25 (via 20), 35 (via 60;
+  //            also person2's friend, at its depth)
+  //   depth 4: 45 (via 40 and 35)
+  std::vector<std::pair<uint64_t, uint64_t>> edges = {
+      {50, 10}, {50, 30}, {50, 70}, {10, 30}, {30, 70}, {10, 20},
+      {30, 20}, {30, 60}, {70, 60}, {20, 60}, {10, 1},  {20, 40},
+      {60, 40}, {20, 5},  {20, 25}, {60, 35}, {35, 40}, {40, 45},
+      {35, 45}};
+  schema::SocialNetwork net = Network(71, edges);
+  store::GraphStore store;
+  ASSERT_TRUE(store.BulkLoad(net).ok());
+  auto pin = store.ReadLock();
+  std::vector<Path> paths;
+  AllShortestPaths(store, pin, 50, 40, 1000, &paths);
+  std::vector<Path> want = {{50, 10, 20, 40},
+                            {50, 30, 20, 40},
+                            {50, 30, 60, 40},
+                            {50, 70, 60, 40}};
+  EXPECT_EQ(paths, want);
+  ExpectQ14MatchesOracle(store, net, 50, 40);
+  ExpectQ14MatchesOracle(store, net, 40, 50);
+  ExpectQ14MatchesOracle(store, net, 1, 45);
 }
 
 TEST(TraversalTest, BackToBackQueriesLeaveNoStaleMarks) {

@@ -154,6 +154,45 @@ TEST(GraphStoreTest, PostRequiresForumCommentRequiresParent) {
   EXPECT_EQ(store.FindPerson(pin, 1)->messages.size(), 2u);
 }
 
+TEST(GraphStoreTest, RejectedCommentAppendsNoReplyTarget) {
+  GraphStore store;
+  ASSERT_TRUE(store.AddPerson(MakePerson(1)).ok());
+  ASSERT_TRUE(store.AddPerson(MakePerson(2)).ok());
+  ASSERT_TRUE(store.AddForum(MakeForum(10, 1)).ok());
+  ASSERT_TRUE(store.AddMessage(MakePost(0, 1, 10)).ok());
+
+  Message comment;
+  comment.id = 1;
+  comment.kind = MessageKind::kComment;
+  comment.creator_id = 2;
+  comment.forum_id = 10;
+  comment.reply_to_id = 99;  // Missing parent.
+  comment.root_post_id = 0;
+  comment.creation_date = 3100;
+  EXPECT_EQ(store.AddMessage(comment).code(), StatusCode::kNotFound);
+  {
+    auto pin = store.ReadLock();
+    EXPECT_TRUE(store.FindPerson(pin, 2)->replied_to.view().empty());
+  }
+
+  comment.reply_to_id = 0;
+  ASSERT_TRUE(store.AddMessage(comment).ok());
+  // Same id again, now replying to the comment: a duplicate.
+  Message duplicate = comment;
+  duplicate.reply_to_id = 1;
+  EXPECT_EQ(store.AddMessage(duplicate).code(), StatusCode::kAlreadyExists);
+
+  auto pin = store.ReadLock();
+  auto replied_to = store.FindPerson(pin, 2)->replied_to.view();
+  ASSERT_EQ(replied_to.size(), 1u);
+  EXPECT_EQ(replied_to[0].parent, 0u);
+  EXPECT_EQ(replied_to[0].parent_creator, 1u);
+  EXPECT_FALSE(replied_to[0].parent_is_comment);
+  EXPECT_EQ(store.FindPerson(pin, 2)->messages.size(), 1u);
+  EXPECT_EQ(store.FindMessage(pin, 1)->replies.size(), 0u);
+  EXPECT_EQ(store.FindMessage(pin, 0)->replies.size(), 1u);
+}
+
 TEST(GraphStoreTest, LikeRequiresPersonAndMessage) {
   GraphStore store;
   ASSERT_TRUE(store.AddPerson(MakePerson(1)).ok());

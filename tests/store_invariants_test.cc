@@ -1,7 +1,9 @@
 // Parameterized integration invariants: after loading a generated dataset
 // (bulk only, or bulk + replayed update stream) the store's index
 // structures must be mutually consistent at every scale.
+#include <algorithm>
 #include <map>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -165,6 +167,45 @@ TEST_P(StoreInvariantsTest, CreatorListsCoverAllMessages) {
     }
   }
   EXPECT_EQ(via_creators, store().NumMessages());
+}
+
+TEST_P(StoreInvariantsTest, RepliedToMirrorsCommentParents) {
+  auto pin = store().ReadLock();
+  auto key = [](const ReplyEdge& r) {
+    return std::make_tuple(r.parent, r.parent_creator, r.parent_is_comment);
+  };
+  uint64_t comments = 0;
+  for (schema::PersonId id : store().PersonIds(pin)) {
+    const PersonRecord* p = store().FindPerson(pin, id);
+    // Recompute: one entry per created comment, from its parent record.
+    std::vector<std::tuple<schema::MessageId, schema::PersonId, bool>> want;
+    for (const DatedEdge& e : p->messages.view()) {
+      const MessageRecord* m = store().FindMessage(pin, e.id);
+      ASSERT_NE(m, nullptr);
+      if (m->data.kind != schema::MessageKind::kComment) continue;
+      const MessageRecord* parent =
+          store().FindMessage(pin, m->data.reply_to_id);
+      ASSERT_NE(parent, nullptr);
+      want.emplace_back(m->data.reply_to_id, parent->data.creator_id,
+                        parent->data.kind == schema::MessageKind::kComment);
+    }
+    std::vector<std::tuple<schema::MessageId, schema::PersonId, bool>> got;
+    for (const ReplyEdge& r : p->replied_to.view()) got.push_back(key(r));
+    // replied_to is in application order, the creator list in date order.
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "person " << id;
+    comments += got.size();
+  }
+  uint64_t all_comments = 0;
+  for (schema::MessageId id = 0; id < store().MessageIdBound(); ++id) {
+    const MessageRecord* m = store().FindMessage(pin, id);
+    if (m != nullptr && m->data.kind == schema::MessageKind::kComment) {
+      ++all_comments;
+    }
+  }
+  EXPECT_GT(comments, 0u);
+  EXPECT_EQ(comments, all_comments);
 }
 
 TEST_P(StoreInvariantsTest, CountsMatchDatasetStats) {
