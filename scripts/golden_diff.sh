@@ -19,7 +19,11 @@ if [[ $# -ne 1 ]]; then
   exit 64
 fi
 base_ref="$1"
-base_sha="$(git rev-parse --verify "${base_ref}^{commit}")"
+if ! base_sha="$(git rev-parse --verify --quiet "${base_ref}^{commit}")"; then
+  echo "golden_diff: base '${base_ref}' is not a commit in this clone" \
+    "(shallow clone or history rewritten?); fetch it first" >&2
+  exit 65
+fi
 jobs="$(nproc)"
 root="build/golden-base"
 src="${root}/src"

@@ -68,6 +68,26 @@ int ShortestPathLength(const store::GraphStore& store,
   return -1;
 }
 
+namespace {
+
+using FriendView = util::RcuVector<FriendEdge>::View;
+
+FriendView FriendsOf(const store::GraphStore& store,
+                     const store::ReadGuard& pin, uint64_t id) {
+  const PersonRecord* p = store.FindPerson(pin, id);
+  return p == nullptr ? FriendView() : p->friends.view();
+}
+
+/// True iff the id-sorted `friends` holds `id`.
+bool Holds(const FriendView& friends, uint64_t id) {
+  auto it = std::lower_bound(
+      friends.begin(), friends.end(), id,
+      [](const FriendEdge& e, uint64_t v) { return e.other < v; });
+  return it != friends.end() && it->other == id;
+}
+
+}  // namespace
+
 void AllShortestPaths(const store::GraphStore& store,
                       const store::ReadGuard& pin, uint64_t person1,
                       uint64_t person2, size_t max_paths,
@@ -77,13 +97,20 @@ void AllShortestPaths(const store::GraphStore& store,
   const PersonRecord* target = store.FindPerson(pin, person2);
   if (target == nullptr) return;
   // Read once: the stop test and the DFS root see the same friend list.
-  util::RcuVector<FriendEdge>::View into = target->friends.view();
+  FriendView into = target->friends.view();
   auto at = [&s](uint64_t id, uint32_t depth) {
     return s.Has(0, id) && s.Dist(0, id) == depth;
   };
-  auto has_friend_at = [&at, &into](uint32_t depth) {
+  // The BFS follows a hop along the list of its nearer end, so a hop
+  // counts only when that list holds the farther end. AddFriendship
+  // publishes the two halves of a friendship one after the other; a
+  // concurrent reader may see either half alone.
+  auto has_parent_at = [&](uint32_t depth) {
     for (const FriendEdge& e : into) {
-      if (at(e.other, depth)) return true;
+      if (at(e.other, depth) &&
+          Holds(FriendsOf(store, pin, e.other), person2)) {
+        return true;
+      }
     }
     return false;
   };
@@ -94,13 +121,11 @@ void AllShortestPaths(const store::GraphStore& store,
   std::vector<uint64_t>& next = s.next();
   frontier.assign(1, person1);
   uint32_t d = 0;
-  for (; !has_friend_at(d); ++d) {
+  for (; !has_parent_at(d); ++d) {
     if (frontier.empty()) return;  // person2 is unreachable.
     next.clear();
     for (uint64_t pid : frontier) {
-      const PersonRecord* p = store.FindPerson(pin, pid);
-      if (p == nullptr) continue;
-      for (const FriendEdge& e : p->friends.view()) {
+      for (const FriendEdge& e : FriendsOf(store, pin, pid)) {
         s.Reach(e.other);
         if (s.Seen(0, e.other)) continue;
         s.Mark(0, e.other, d + 1);
@@ -110,9 +135,12 @@ void AllShortestPaths(const store::GraphStore& store,
     frontier.swap(next);
   }
 
-  // DFS backwards from person2 (depth d + 1). A frame's parents are the
-  // friends at one depth less, tried in friend-list (ascending id) order;
-  // only person1 sits at depth 0.
+  // DFS backwards from person2 (depth d + 1). A frame's parent candidates
+  // are its friends at one depth less, tried in friend-list (ascending id)
+  // order; a candidate is taken only when its own list holds the frame's
+  // node, as in the stop test. Only person1 sits at depth 0; its list is
+  // read after the BFS, so it holds every friend the BFS expanded.
+  FriendView source = FriendsOf(store, pin, person1);
   std::vector<TraversalScratch::Frame>& stack = s.stack_;
   stack.assign(1, {person2, d + 1, into.begin(), into.end()});
   while (!stack.empty() && paths->size() < max_paths) {
@@ -134,12 +162,10 @@ void AllShortestPaths(const store::GraphStore& store,
       stack.pop_back();
       continue;
     }
+    uint64_t child = frame.node;
     uint64_t parent = (frame.next++)->other;
-    util::RcuVector<FriendEdge>::View friends;
-    if (want > 0) {
-      const PersonRecord* p = store.FindPerson(pin, parent);
-      if (p != nullptr) friends = p->friends.view();
-    }
+    FriendView friends = want == 0 ? source : FriendsOf(store, pin, parent);
+    if (!Holds(friends, child)) continue;
     stack.push_back({parent, want, friends.begin(), friends.end()});
   }
 }

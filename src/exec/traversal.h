@@ -138,13 +138,15 @@ int ShortestPathLength(const store::GraphStore& store,
 /// Every shortest Knows path person1 -> person2 (distinct persons), at
 /// most `max_paths`, appended to `paths` (Q14). A level-synchronous BFS
 /// from person1 stops one level early: before expanding level d it scans
-/// person2's friend list, and the first friend at depth d puts person2 at
-/// d + 1 with every depth <= d final. An iterative DFS from person2 then
-/// takes a depth-k node's parents from its id-sorted friend list (the
-/// friends at depth k - 1), so the enumeration order — and where the
-/// `max_paths` cut lands — is that of a DFS over id-sorted parent lists.
-/// Each descent lowers the depth by one, so the stack holds at most d + 2
-/// frames. Appends nothing when person2 is unreachable.
+/// person2's friend list, and the first friend at depth d whose own list
+/// holds person2 puts person2 at d + 1 with every depth <= d final. An
+/// iterative DFS from person2 then takes a depth-k node's parents from its
+/// id-sorted friend list (the friends at depth k - 1 whose own lists hold
+/// the node), so the enumeration order — and where the `max_paths` cut
+/// lands — is that of a DFS over id-sorted parent lists, and every hop
+/// path[i] -> path[i + 1] is held by path[i]'s list, the direction the BFS
+/// follows. Each descent lowers the depth by one, so the stack holds at
+/// most d + 2 frames. Appends nothing when person2 is unreachable.
 void AllShortestPaths(const store::GraphStore& store,
                       const store::ReadGuard& pin, uint64_t person1,
                       uint64_t person2, size_t max_paths,

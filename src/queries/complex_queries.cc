@@ -576,15 +576,16 @@ namespace {
 constexpr size_t kMaxPaths = 1000;
 
 /// All shortest Knows-paths person1 -> person2, capped at kMaxPaths, in
-/// parent-DAG DFS order (parents ascending by id). Distance 1 and 2 take
-/// sorted-set fast paths; the general case is exec::AllShortestPaths.
+/// the DFS order of exec::AllShortestPaths (parents ascending by id).
+/// Distance 1 and 2 take sorted-set fast paths; the general case is the
+/// kernel.
 ///
-/// The distance-2 fast path is exact: the BFS fully expands depth 1 before
-/// stopping, so parents(person2) is ALL mutual friends; the DFS takes
-/// parents ascending and each middle has the single parent person1, so
-/// paths enumerate in ascending middle-id order — which is exactly
-/// Intersect(friends(p1), friends(p2)) read left to right, including where
-/// a kMaxPaths cut lands.
+/// The distance-2 fast path matches the kernel: its DFS takes person2's
+/// parents — the mutual friends — from person2's id-sorted friend list,
+/// and each middle has the single parent person1, so paths enumerate in
+/// ascending middle-id order — Intersect(friends(p1), friends(p2)) read
+/// left to right, including where a kMaxPaths cut lands. Like the kernel,
+/// it keeps a middle only when the middle's own list holds person2.
 std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
                                                  const store::ReadGuard& pin,
                                                  PersonId person1,
@@ -603,16 +604,14 @@ std::vector<std::vector<PersonId>> ShortestPaths(const GraphStore& store,
   std::vector<uint64_t> mid(std::min(f1.size(), f2.size()));
   size_t n =
       exec::Intersect(f1.data(), f1.size(), f2.data(), f2.size(), mid.data());
-  if (n > 0) {
-    size_t take = std::min(n, kMaxPaths);
-    paths.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
+  for (size_t i = 0; i < n && paths.size() < kMaxPaths; ++i) {
+    if (store.AreFriends(pin, mid[i], person2)) {
       paths.push_back({person1, mid[i], person2});
     }
-    return paths;
   }
+  if (!paths.empty()) return paths;
 
-  // Distance >= 3: the traversal kernel's parent DAG and DFS.
+  // Distance >= 3 (or no middle's list holds person2 yet): the kernel.
   exec::AllShortestPaths(store, pin, person1, person2, kMaxPaths, &paths);
   return paths;
 }
@@ -643,8 +642,9 @@ std::vector<Q14Result> Query14(const GraphStore& store, PersonId person1,
   if (paths.empty()) return results;
 
   // Distinct persons on any path, in first-seen order, as the pair-index
-  // domain. The thread's traversal scratch maps a person to its index
-  // (side 1), so the probe below resolves a reply target with one load.
+  // domain. The thread's traversal scratch maps a person to its index:
+  // side 1's dist field holds that index here, not a distance, so the
+  // probe below resolves a reply target with one load.
   exec::TraversalScratch& scratch = exec::TraversalScratch::Local();
   scratch.Begin();
   std::vector<uint64_t> persons;

@@ -151,14 +151,9 @@ std::string CheckQ14(const GraphStore& store, schema::PersonId person1,
       return "Q14 paths of different lengths in one result";
     }
     // Friendships are insert-only, so a hop that was a friendship inside
-    // the query's snapshot is still one now. AddFriendship links the two
-    // halves one after the other, and the query may have read a hop from
-    // either end's friend list (the DFS reads the end nearer person2, the
-    // fast paths person1's or person2's), so a hop counts as a friendship
-    // when either end's list holds the other.
+    // the query's snapshot is still one now.
     for (size_t i = 0; i + 1 < r.path.size(); ++i) {
-      if (!store.AreFriends(pin, r.path[i], r.path[i + 1]) &&
-          !store.AreFriends(pin, r.path[i + 1], r.path[i])) {
+      if (!store.AreFriends(pin, r.path[i], r.path[i + 1])) {
         return "Q14 path hop is not a friendship";
       }
     }

@@ -1,11 +1,12 @@
 // Tests for the traversal kernel (exec/traversal.h): the epoch reset and
 // its wrap-around, growth past the scratch size mid-traversal, no stale
 // state across back-to-back Q14/Q13/Q1 on one thread, the Q1 level bound,
-// the parent-ordered path enumeration and the BFS stop one level before
-// person2's. validate::Oracle (its own hash-map BFS) is the reference
-// throughout.
+// the parent-ordered path enumeration, the BFS stop one level before
+// person2's and half-published friendships. validate::Oracle (its own
+// hash-map BFS) is the reference throughout.
 #include "exec/traversal.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -317,6 +318,64 @@ TEST(TraversalTest, ParentsSkipSameDepthAndDeeperFriends) {
   ExpectQ14MatchesOracle(store, net, 50, 40);
   ExpectQ14MatchesOracle(store, net, 40, 50);
   ExpectQ14MatchesOracle(store, net, 1, 45);
+}
+
+// Publishes only `a`'s half of the friendship {a, b}: the state a
+// concurrent reader sees between AddFriendship's two inserts.
+void PublishHalf(store::GraphStore* store, uint64_t a, uint64_t b) {
+  const store::PersonRecord* rec;
+  {
+    auto pin = store->ReadLock();
+    rec = store->FindPerson(pin, a);
+  }
+  ASSERT_NE(rec, nullptr);
+  const_cast<store::PersonRecord*>(rec)->friends.insert_sorted(
+      {b, 2000},
+      [](const store::FriendEdge& x, const store::FriendEdge& y) {
+        return x.other < y.other;
+      },
+      store->epoch_manager());
+}
+
+std::vector<Path> Q14Paths(const store::GraphStore& store, uint64_t p1,
+                           uint64_t p2) {
+  std::vector<Path> paths;
+  for (queries::Q14Result& r : queries::Query14(store, p1, p2)) {
+    paths.push_back(std::move(r.path));
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+TEST(TraversalTest, HalfPublishedFriendshipsGiveNoHopAgainstTheBfs) {
+  // Every returned hop path[i] -> path[i + 1] must be held by path[i]'s
+  // list, the direction the BFS follows, even when a friendship is only
+  // half published.
+  {
+    // Distance 3: 3's list holds 5, 5's does not hold 3. The DFS from 3
+    // sees candidate parent 5 at depth 2 and must skip it.
+    store::GraphStore store;
+    Build(&store, 6, {{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 5}});
+    PublishHalf(&store, 3, 5);
+    EXPECT_EQ(Q14Paths(store, 0, 3), (std::vector<Path>{{0, 1, 2, 3}}));
+  }
+  {
+    // Distance 2: 2's list holds 3, 3's does not hold 2, so the fast
+    // path's intersection yields middle 3 and must drop it.
+    store::GraphStore store;
+    Build(&store, 4, {{0, 1}, {1, 2}, {0, 3}});
+    PublishHalf(&store, 2, 3);
+    EXPECT_EQ(Q14Paths(store, 0, 2), (std::vector<Path>{{0, 1, 2}}));
+  }
+  {
+    // 2's list holds 1, 1's does not hold 2: no middle survives the fast
+    // path, and the kernel's stop test must not stop at depth 1 on 1 —
+    // person2 is at depth 3 through 3 and 4.
+    store::GraphStore store;
+    Build(&store, 5, {{0, 1}, {0, 3}, {3, 4}, {4, 2}});
+    PublishHalf(&store, 2, 1);
+    EXPECT_EQ(Q14Paths(store, 0, 2), (std::vector<Path>{{0, 3, 4, 2}}));
+  }
 }
 
 TEST(TraversalTest, BackToBackQueriesLeaveNoStaleMarks) {
