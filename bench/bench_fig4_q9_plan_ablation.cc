@@ -38,6 +38,7 @@
 #include "queries/complex_queries.h"
 #include "queries/query9_plans.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 
 namespace snb::bench {
@@ -237,7 +238,7 @@ int Run(const Options& options) {
                  valid.ToString().c_str());
     return 1;
   }
-  util::Status wrote = obs::WriteFileReport(options.report_path, json);
+  util::Status wrote = util::WriteWholeFile(options.report_path, json);
   if (!wrote.ok()) {
     std::fprintf(stderr, "%s\n", wrote.ToString().c_str());
     return 1;

@@ -1,6 +1,7 @@
 #include "bench/bench_util.h"
 
 #include "queries/update_queries.h"
+#include "util/json.h"
 
 namespace snb::bench {
 
@@ -75,7 +76,7 @@ void StampProfile(obs::RunReport* report, const std::string& path) {
   report->profile = obs::MakeProfileSection(folded);
   if (!path.empty()) {
     util::Status status =
-        obs::WriteFileReport(path, obs::prof::ToFoldedText(folded));
+        util::WriteWholeFile(path, obs::prof::ToFoldedText(folded));
     if (!status.ok()) {
       std::fprintf(stderr, "cpu-profile write failed: %s\n",
                    status.ToString().c_str());

@@ -64,6 +64,7 @@
 #include "obs/trace_buffer.h"
 #include "queries/query9_plans.h"
 #include "store/graph_store.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
@@ -197,12 +198,15 @@ int main(int argc, char** argv) {
     exporter.HandleDynamic("/profile", [&exporter](const std::string& query) {
       obs::HttpExporter::HttpResponse resp;
       if (!obs::prof::SamplingLive()) {
+        util::JsonWriter body;
+        body.BeginObject();
+        body.Key("error").String("profiler unavailable");
+        body.Key("backend").String(
+            obs::prof::BackendName(obs::prof::ActiveBackend()));
+        body.EndObject();
         resp.status = 503;
         resp.content_type = "application/json";
-        resp.body = std::string("{\"error\":\"profiler unavailable\","
-                                "\"backend\":\"") +
-                    obs::prof::BackendName(obs::prof::ActiveBackend()) +
-                    "\"}\n";
+        resp.body = body.Take() + "\n";
         return resp;
       }
       int seconds = 1;
@@ -412,18 +416,18 @@ int main(int argc, char** argv) {
                  valid.ToString().c_str());
     return 1;
   }
-  status = obs::WriteFileReport(report_path, json);
+  status = util::WriteWholeFile(report_path, json);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   std::string prom_path = report_path + ".prom";
-  (void)obs::WriteFileReport(prom_path,
+  (void)util::WriteWholeFile(prom_path,
                              obs::ToPrometheusText(run_report.metrics));
   std::printf("\nwrote %s and %s\n", report_path.c_str(), prom_path.c_str());
 
   if (!cpu_profile_path.empty()) {
-    status = obs::WriteFileReport(cpu_profile_path,
+    status = util::WriteWholeFile(cpu_profile_path,
                                   obs::prof::ToFoldedText(folded));
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -435,7 +439,7 @@ int main(int argc, char** argv) {
   }
 
   if (trace != nullptr) {
-    status = obs::WriteFileReport(trace_path, obs::ToChromeTraceJson(*trace));
+    status = util::WriteWholeFile(trace_path, obs::ToChromeTraceJson(*trace));
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;

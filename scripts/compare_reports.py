@@ -23,9 +23,9 @@ candidate regressed past the configured thresholds:
     than --max-ipc-drop (fraction of baseline), or LLC misses per kilo
     instruction inflated more than --max-llc-miss-inflation (fraction)
     AND more than --llc-miss-slack absolute. Counter ratios only exist
-    in snb-report-v4 runs with live perf counters; when either report
-    lacks them for an op, that op's counter checks are skipped — so
-    wall-clock-only baselines keep working;
+    in runs with live perf counters; when either report lacks them for
+    an op, that op's counter checks are skipped — so wall-clock-only
+    baselines keep working;
   * the candidate's sampling-profiler self-overhead exceeded
     --max-profiler-overhead (fraction of the profiled task-clock). This
     is an absolute gate on the candidate alone — no baseline profile is
@@ -34,9 +34,10 @@ candidate regressed past the configured thresholds:
     cannot estimate overhead).
 
 Only op types present in BOTH reports are compared, so baselines survive
-query-mix additions. Accepts schema snb-report-v1 through v5 (v1 simply
-has no compliance section to compare; the v3 validation section is not
-a performance artifact and is ignored here).
+query-mix additions; a section absent from either report (compliance,
+counters, profile) is not compared. Accepts schema snb-report-v5 only,
+the one report schema; any other tag is bad input. The validation section
+is not a performance artifact and is ignored here.
 
 Usage:
   scripts/compare_reports.py baseline.json candidate.json [thresholds...]
@@ -49,8 +50,7 @@ import json
 import sys
 
 PERCENTILES = ("p50_ms", "p95_ms", "p99_ms")
-ACCEPTED_SCHEMAS = ("snb-report-v1", "snb-report-v2", "snb-report-v3",
-                    "snb-report-v4", "snb-report-v5")
+SCHEMA = "snb-report-v5"
 
 
 def load_report(path):
@@ -61,8 +61,9 @@ def load_report(path):
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(2)
     schema = doc.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
-        print(f"error: {path}: unexpected schema {schema!r}", file=sys.stderr)
+    if schema != SCHEMA:
+        print(f"error: {path}: unsupported schema {schema!r} "
+              f"(want {SCHEMA!r})", file=sys.stderr)
         raise SystemExit(2)
     return doc
 
@@ -101,7 +102,7 @@ def main():
     parser.add_argument("--max-ipc-drop", type=float, default=0.2,
                         metavar="FRAC",
                         help="max allowed relative per-op IPC drop "
-                             "(default 0.2; needs v4 counter fields)")
+                             "(default 0.2; needs counter fields)")
     parser.add_argument("--max-llc-miss-inflation", type=float, default=0.5,
                         metavar="FRAC",
                         help="max allowed relative growth of per-op LLC "
@@ -157,7 +158,7 @@ def main():
                     f"{name} {pct}: {c[pct]:.3f} ms > ceiling {ceiling:.3f} "
                     f"(baseline {b[pct]:.3f}, max inflation "
                     f"{args.max_latency_inflation:.0%})")
-        # Hardware-counter ratios (v4 runs with live counters only).
+        # Hardware-counter ratios (runs with live counters only).
         if min(b.get("hw_samples", 0), c.get("hw_samples", 0)) \
                 >= args.min_hw_samples:
             if "ipc" in b and "ipc" in c and b["ipc"] > 0:
@@ -200,7 +201,7 @@ def main():
                 f"{floor:.0f} (baseline {base_utput:.0f}, max drop "
                 f"{args.max_update_throughput_drop:.0%})")
 
-    # Compliance (v2 only; absent section in either report = not compared).
+    # Compliance (absent section in either report = not compared).
     base_frac = base.get("compliance", {}).get("on_time_fraction")
     cand_frac = cand.get("compliance", {}).get("on_time_fraction")
     if base_frac is not None and cand_frac is not None:
@@ -211,7 +212,7 @@ def main():
                 f"compliance: on-time fraction {cand_frac:.4f} < floor "
                 f"{floor:.4f} (baseline {base_frac:.4f})")
 
-    # Profiler self-overhead: an absolute gate on the candidate (v5 runs
+    # Profiler self-overhead: an absolute gate on the candidate (runs
     # with a live timer backend only). The profiler must stay invisible;
     # a baseline is no defense for a 5%-overhead "always-on" profiler.
     prof = cand.get("profile", {})

@@ -161,6 +161,54 @@ for m in $mutexes; do
 done
 [[ $fail -eq 0 ]] && note "lock-table coverage: all $(echo "$mutexes" | wc -l) mutex names documented"
 
+# ---- custom lint 5: one JSON module ----------------------------------------
+# src/util/json.{h,cc} is the only JSON string escaper and parser. Outside
+# it, src/, tools/, examples/ and bench/ may not carry the mechanics of
+# either: a string literal that writes an escaped quote or backslash, a
+# \u00XX escape format, or a quote test that pushes a backslash (an
+# escaper); the `null` literal, or a function or class whose name pairs
+# Json with Parse (a parser). The Prometheus label escaper
+# (obs::EscapePromLabelValue) is a different text format and the one
+# named exception. Comments are stripped first.
+json_lint=$(cat <<'AWK'
+{ line = $0; sub(/\/\/.*/, "", line) }
+# A line starting in column 0 begins a top-level definition; remember its
+# function name so a hit can be attributed to the function it sits in.
+/^[A-Za-z_]/ {
+  fn = ""
+  if (match(line, /[A-Za-z_][A-Za-z_0-9:]*[ \t]*\(/)) {
+    fn = substr(line, RSTART, RLENGTH)
+    sub(/[ \t]*\($/, "", fn)
+    sub(/.*::/, "", fn)
+  }
+}
+{
+  kind = ""
+  if (line ~ /\\\\\\"/ || line ~ /\\\\u%0/ ||
+      line ~ /'"'.*push_back\('\\\\'\)/) {
+    kind = "escaper"
+  } else if (line ~ /"null"/ ||
+             line ~ /(class|struct)[ \t]+[A-Za-z_]*(Json[A-Za-z_]*Pars|Pars[A-Za-z_]*Json)/ ||
+             (line ~ /^[A-Za-z_]/ &&
+              line ~ /[ \t*&](Parse[A-Za-z_]*Json|Json[A-Za-z_]*Parse)[A-Za-z_]*[ \t]*\(/)) {
+    kind = "parser"
+  }
+  if (kind == "" || (kind == "escaper" && fn == "EscapePromLabelValue")) next
+  printf "%s:%d: JSON %s: %s\n", FILENAME, FNR, kind, $0
+}
+AWK
+)
+json_dups=$(
+  find src tools examples bench \
+    \( -name "*.h" -o -name "*.cc" -o -name "*.cpp" \) |
+    grep -vE '^src/util/json\.(h|cc)$' | sort | xargs awk "$json_lint"
+)
+if [[ -n "$json_dups" ]]; then
+  violation "JSON escaper/parser outside src/util/json.cc:"$'\n'"$json_dups"
+else
+  note "one JSON module: clean"
+fi
+
 # ---- clang-format, as part of the full gate --------------------------------
 run_format_check
 

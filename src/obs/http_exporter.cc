@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/json.h"
+
 namespace snb::obs {
 namespace {
 
@@ -183,8 +185,11 @@ bool HttpExporter::ServeConnection(int fd) {
       // concurrent dynamic request is refused, not queued behind a
       // window it did not ask for.
       if (dynamic_busy_.exchange(true, std::memory_order_acq_rel)) {
-        SendResponse(fd, 503, "application/json",
-                     "{\"error\":\"a capture is already in progress\"}\n");
+        util::JsonWriter body;
+        body.BeginObject();
+        body.Key("error").String("a capture is already in progress");
+        body.EndObject();
+        SendResponse(fd, 503, "application/json", body.Take() + "\n");
         return false;
       }
       // The previous worker (if any) cleared busy before closing its

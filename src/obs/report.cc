@@ -1,12 +1,12 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+
+#include "util/json.h"
 
 // Provenance macros come from CMake (src/obs/CMakeLists.txt); default to
 // "unknown" so non-CMake builds (e.g. single-file test compiles) still
@@ -30,736 +30,252 @@
 namespace snb::obs {
 namespace {
 
-// ---- JSON writing helpers -------------------------------------------------
+using util::JsonValue;
+using util::JsonWriter;
+using Kind = util::JsonValue::Kind;
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(std::string* out, double v) {
-  if (!std::isfinite(v)) v = 0.0;  // JSON has no Inf/NaN.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-void AppendKey(std::string* out, const char* key) {
-  AppendEscaped(out, key);
-  out->push_back(':');
-}
-
-/// Appends hardware-counter ratio fields derived from `hw` averaged over
-/// `samples` operations, each preceded by a comma (callers are mid-object).
-/// Emits nothing when the counts are invalid — counter-less rows keep the
-/// exact pre-v4 shape.
-void AppendHwFields(std::string* out, const perf::HwCounts& hw,
-                    uint64_t samples) {
+/// Writes hardware-counter ratio fields derived from `hw` averaged over
+/// `samples` operations into the open object. Writes nothing when the
+/// counts are invalid, so counter-less rows carry no counter keys.
+void WriteHwFields(JsonWriter& w, const perf::HwCounts& hw, uint64_t samples) {
   if (!hw.valid() || samples == 0) return;
   double n = static_cast<double>(samples);
-  *out += ",";
-  AppendKey(out, "hw_samples");
-  AppendU64(out, samples);
+  auto per_op = [&](perf::HwMetric m) {
+    return static_cast<double>(hw.Value(m)) / n;
+  };
+  w.Key("hw_samples").U64(samples);
   if (hw.Has(perf::HwMetric::kCycles) &&
       hw.Has(perf::HwMetric::kInstructions)) {
-    *out += ",";
-    AppendKey(out, "ipc");
-    AppendDouble(out, hw.Ipc());
+    w.Key("ipc").Double(hw.Ipc());
   }
   if (hw.Has(perf::HwMetric::kCycles)) {
-    *out += ",";
-    AppendKey(out, "cycles_per_op");
-    AppendDouble(out,
-                 static_cast<double>(hw.Value(perf::HwMetric::kCycles)) / n);
+    w.Key("cycles_per_op").Double(per_op(perf::HwMetric::kCycles));
   }
   if (hw.Has(perf::HwMetric::kInstructions)) {
-    *out += ",";
-    AppendKey(out, "instructions_per_op");
-    AppendDouble(
-        out, static_cast<double>(hw.Value(perf::HwMetric::kInstructions)) / n);
+    w.Key("instructions_per_op").Double(per_op(perf::HwMetric::kInstructions));
   }
   if (hw.Has(perf::HwMetric::kLlcLoadMisses)) {
-    *out += ",";
-    AppendKey(out, "llc_miss_per_op");
-    AppendDouble(
-        out,
-        static_cast<double>(hw.Value(perf::HwMetric::kLlcLoadMisses)) / n);
+    w.Key("llc_miss_per_op").Double(per_op(perf::HwMetric::kLlcLoadMisses));
     if (hw.Has(perf::HwMetric::kInstructions)) {
-      *out += ",";
-      AppendKey(out, "llc_miss_per_kinstr");
-      AppendDouble(out, hw.LlcMissesPerKiloInstr());
+      w.Key("llc_miss_per_kinstr").Double(hw.LlcMissesPerKiloInstr());
     }
   }
   if (hw.Has(perf::HwMetric::kBranchMisses)) {
-    *out += ",";
-    AppendKey(out, "branch_miss_per_op");
-    AppendDouble(
-        out,
-        static_cast<double>(hw.Value(perf::HwMetric::kBranchMisses)) / n);
+    w.Key("branch_miss_per_op").Double(per_op(perf::HwMetric::kBranchMisses));
     if (hw.Has(perf::HwMetric::kInstructions)) {
-      *out += ",";
-      AppendKey(out, "branch_miss_per_kinstr");
-      AppendDouble(out, hw.BranchMissesPerKiloInstr());
+      w.Key("branch_miss_per_kinstr").Double(hw.BranchMissesPerKiloInstr());
     }
   }
 }
 
-// ---- JSON parser ----------------------------------------------------------
-
-class Parser {
- public:
-  Parser(const std::string& text, std::string* error)
-      : text_(text), error_(error) {}
-
-  bool ParseDocument(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    if (pos_ != text_.size()) return Fail("trailing characters");
-    return true;
+void WriteDriver(JsonWriter& w, const DriverSection& d) {
+  w.Key("driver").BeginObject();
+  w.Key("operations_executed").U64(d.operations_executed);
+  w.Key("operations_failed").U64(d.operations_failed);
+  w.Key("elapsed_seconds").Double(d.elapsed_seconds);
+  w.Key("ops_per_second").Double(d.ops_per_second);
+  w.Key("max_schedule_lag_ms").Double(d.max_schedule_lag_ms);
+  w.Key("dependencies_tracked").U64(d.dependencies_tracked);
+  w.Key("dependent_waits").U64(d.dependent_waits);
+  w.Key("lag_timeline_ms").BeginArray();
+  for (const auto& [second, lag_ms] : d.lag_timeline_ms) {
+    w.BeginArray().Double(second).Double(lag_ms).EndArray();
   }
+  w.EndArray().EndObject();
+}
 
- private:
-  bool Fail(const char* why) {
-    if (error_ != nullptr) {
-      *error_ = std::string(why) + " at byte " + std::to_string(pos_);
+void WriteCompliance(JsonWriter& w, const ComplianceSection& c) {
+  w.Key("compliance").BeginObject();
+  w.Key("window_ms").Double(c.window_ms);
+  w.Key("required_on_time_fraction").Double(c.required_on_time_fraction);
+  w.Key("scheduled_ops").U64(c.scheduled_ops);
+  w.Key("on_time_ops").U64(c.on_time_ops);
+  w.Key("on_time_fraction").Double(c.on_time_fraction);
+  w.Key("passed").Bool(c.passed);
+  w.Key("lateness_histogram_ms").BeginArray();
+  for (const auto& [edge_ms, count] : c.lateness_histogram_ms) {
+    w.BeginArray().Double(edge_ms).U64(count).EndArray();
+  }
+  w.EndArray();
+  w.Key("worst_offenders").BeginArray();
+  for (const ComplianceOpEntry& entry : c.per_op) {
+    w.BeginObject();
+    w.Key("op").String(entry.op);
+    w.Key("scheduled").U64(entry.scheduled);
+    w.Key("late").U64(entry.late);
+    w.Key("max_late_ms").Double(entry.max_late_ms);
+    w.EndObject();
+  }
+  w.EndArray().EndObject();
+}
+
+void WriteQ9Profile(JsonWriter& w, const Q9ProfileSection& q9) {
+  w.Key("q9_profile").BeginObject();
+  w.Key("plan").String(q9.plan);
+  w.Key("operators").BeginArray();
+  for (const OperatorEntry& entry : q9.operators) {
+    w.BeginObject();
+    w.Key("name").String(entry.name);
+    w.Key("invocations").U64(entry.stats.invocations);
+    w.Key("time_ms").Double(entry.stats.TimeMs());
+    w.Key("rows").U64(entry.stats.rows);
+    WriteHwFields(w, entry.stats.hw, entry.stats.hw_invocations);
+    w.EndObject();
+  }
+  w.EndArray().EndObject();
+}
+
+void WriteValidation(JsonWriter& w, const ValidationSection& v) {
+  w.Key("validation").BeginObject();
+  w.Key("passed").Bool(v.passed);
+  w.Key("golden_path").String(v.golden_path);
+  w.Key("threads").U64(v.threads);
+  w.Key("mode").String(v.mode);
+  w.Key("segments_compared").U64(v.segments_compared);
+  w.Key("ops_compared").U64(v.ops_compared);
+  w.Key("rows_compared").U64(v.rows_compared);
+  w.Key("diffs").U64(v.diffs);
+  w.Key("first_divergence").String(v.first_divergence);
+  w.EndObject();
+}
+
+void WriteProvenance(JsonWriter& w, const ProvenanceSection& p) {
+  w.Key("provenance").BeginObject();
+  w.Key("git_sha").String(p.git_sha);
+  w.Key("compiler").String(p.compiler);
+  w.Key("build_type").String(p.build_type);
+  w.Key("simd").Bool(p.simd);
+  w.Key("sanitizer").String(p.sanitizer);
+  w.EndObject();
+}
+
+void WritePerf(JsonWriter& w, const PerfSection& p) {
+  w.Key("perf").BeginObject();
+  w.Key("backend").String(p.backend);
+  w.Key("counters_available").Bool(p.counters_available);
+  w.Key("message").String(p.message);
+  w.EndObject();
+}
+
+void WriteDossiers(JsonWriter& w, const std::vector<SlowQueryDossier>& all) {
+  w.Key("dossiers").BeginArray();
+  for (const SlowQueryDossier& d : all) {
+    w.BeginObject();
+    w.Key("op").String(OpTypeName(d.op));
+    w.Key("seq").U64(d.seq);
+    w.Key("latency_ms").Double(static_cast<double>(d.latency_ns) / 1e6);
+    WriteHwFields(w, d.hw, 1);
+    w.Key("operators").BeginArray();
+    for (const DossierOperatorRow& row : d.operators) {
+      w.BeginObject();
+      w.Key("name").String(row.name);
+      w.Key("invocations").U64(row.invocations);
+      w.Key("time_ms").Double(static_cast<double>(row.time_ns) / 1e6);
+      w.Key("rows").U64(row.rows);
+      WriteHwFields(w, row.hw, row.hw_invocations);
+      w.EndObject();
     }
-    return false;
+    w.EndArray().EndObject();
   }
+  w.EndArray();
+}
 
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+void WriteTraceStats(JsonWriter& w, const TraceStatsSection& t) {
+  w.Key("trace").BeginObject();
+  w.Key("recorded").U64(t.recorded);
+  w.Key("dropped").U64(t.dropped);
+  w.Key("lanes").BeginArray();
+  for (const TraceStatsSection::LaneRow& lane : t.lanes) {
+    w.BeginObject();
+    w.Key("lane").U64(lane.lane);
+    w.Key("recorded").U64(lane.recorded);
+    w.Key("retained").U64(lane.retained);
+    w.Key("dropped").U64(lane.dropped);
+    w.EndObject();
+  }
+  w.EndArray().EndObject();
+}
+
+void WriteProfile(JsonWriter& w, const ProfileSection& p) {
+  w.Key("profile").BeginObject();
+  w.Key("backend").String(p.backend);
+  w.Key("message").String(p.message);
+  w.Key("interval_us").U64(p.interval_us);
+  w.Key("captured").U64(p.captured);
+  w.Key("attributed").U64(p.attributed);
+  w.Key("unattributed").U64(p.unattributed);
+  w.Key("dropped").U64(p.dropped);
+  w.Key("self_overhead_ns").U64(p.self_overhead_ns);
+  w.Key("task_clock_ns").U64(p.task_clock_ns);
+  w.Key("threads").U64(p.threads);
+  w.Key("top_frames").BeginArray();
+  for (const ProfileSection::OpFrames& op : p.top_frames) {
+    w.BeginObject();
+    w.Key("op").String(op.op);
+    w.Key("samples").U64(op.samples);
+    w.Key("frames").BeginArray();
+    for (const ProfileSection::FrameRow& frame : op.frames) {
+      w.BeginObject();
+      w.Key("frame").String(frame.frame);
+      w.Key("samples").U64(frame.samples);
+      w.EndObject();
     }
+    w.EndArray().EndObject();
   }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->string);
-      case 't':
-      case 'f':
-        return ParseLiteral(c == 't' ? "true" : "false", out);
-      case 'n':
-        return ParseLiteral("null", out);
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseLiteral(const char* lit, JsonValue* out) {
-    size_t n = std::string(lit).size();
-    if (text_.compare(pos_, n, lit) != 0) return Fail("bad literal");
-    pos_ += n;
-    if (lit[0] == 'n') {
-      out->kind = JsonValue::Kind::kNull;
-    } else {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = lit[0] == 't';
-    }
-    return true;
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    double v = std::strtod(start, &end);
-    if (end == start) return Fail("expected a value");
-    pos_ += static_cast<size_t>(end - start);
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = v;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out->push_back('"');
-          break;
-        case '\\':
-          out->push_back('\\');
-          break;
-        case '/':
-          out->push_back('/');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 'b':
-          out->push_back('\b');
-          break;
-        case 'f':
-          out->push_back('\f');
-          break;
-        case 'u': {
-          // The writer only emits \u00XX control escapes; decode the low
-          // byte and ignore the rest of the plane.
-          if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape");
-            }
-          }
-          out->push_back(static_cast<char>(code & 0xff));
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseObject(JsonValue* out) {
-    if (!Consume('{')) return Fail("expected '{'");
-    out->kind = JsonValue::Kind::kObject;
-    SkipWs();
-    if (Consume('}')) return true;
-    for (;;) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (!Consume(':')) return Fail("expected ':'");
-      SkipWs();
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume('}')) return true;
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    if (!Consume('[')) return Fail("expected '['");
-    out->kind = JsonValue::Kind::kArray;
-    SkipWs();
-    if (Consume(']')) return true;
-    for (;;) {
-      SkipWs();
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->array.push_back(std::move(value));
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume(']')) return true;
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  const std::string& text_;
-  std::string* error_;
-  size_t pos_ = 0;
-};
-
-/// Numeric object member or fallback.
-double NumberOr(const JsonValue& obj, const std::string& key,
-                double fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                             : fallback;
+  w.EndArray().EndObject();
 }
 
 }  // namespace
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
-  return Parser(text, error).ParseDocument(out);
-}
-
 std::string ToJson(const RunReport& report) {
-  std::string out;
-  out.reserve(16 * 1024);
-  out += "{";
-  AppendKey(&out, "schema");
-  out += "\"snb-report-v5\",";
-  AppendKey(&out, "title");
-  AppendEscaped(&out, report.title);
-  out += ",";
+  JsonWriter w(16 * 1024);
+  w.BeginObject();
+  w.Key("schema").String("snb-report-v5");
+  w.Key("title").String(report.title);
 
   // Per-op-type latency table (Tables 6/7/9 layout).
-  AppendKey(&out, "ops");
-  out += "[";
-  bool first = true;
+  w.Key("ops").BeginArray();
   for (size_t i = 0; i < kNumOpTypes; ++i) {
     const OpSnapshot& op = report.metrics.ops[i];
     if (op.count == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "{";
-    AppendKey(&out, "op");
-    AppendEscaped(&out, OpTypeName(static_cast<OpType>(i)));
-    out += ",";
-    AppendKey(&out, "count");
-    AppendU64(&out, op.count);
-    out += ",";
-    AppendKey(&out, "mean_ms");
-    AppendDouble(&out, op.MeanUs() / 1000.0);
-    out += ",";
-    AppendKey(&out, "min_ms");
-    AppendDouble(&out, op.MinUs() / 1000.0);
-    out += ",";
-    AppendKey(&out, "p50_ms");
-    AppendDouble(&out, op.PercentileUs(50) / 1000.0);
-    out += ",";
-    AppendKey(&out, "p90_ms");
-    AppendDouble(&out, op.PercentileUs(90) / 1000.0);
-    out += ",";
-    AppendKey(&out, "p95_ms");
-    AppendDouble(&out, op.PercentileUs(95) / 1000.0);
-    out += ",";
-    AppendKey(&out, "p99_ms");
-    AppendDouble(&out, op.PercentileUs(99) / 1000.0);
-    out += ",";
-    AppendKey(&out, "max_ms");
-    AppendDouble(&out, op.MaxUs() / 1000.0);
-    AppendHwFields(&out, op.hw, op.hw_samples);
-    out += "}";
+    w.BeginObject();
+    w.Key("op").String(OpTypeName(static_cast<OpType>(i)));
+    w.Key("count").U64(op.count);
+    w.Key("mean_ms").Double(op.MeanUs() / 1000.0);
+    w.Key("min_ms").Double(op.MinUs() / 1000.0);
+    w.Key("p50_ms").Double(op.PercentileUs(50) / 1000.0);
+    w.Key("p90_ms").Double(op.PercentileUs(90) / 1000.0);
+    w.Key("p95_ms").Double(op.PercentileUs(95) / 1000.0);
+    w.Key("p99_ms").Double(op.PercentileUs(99) / 1000.0);
+    w.Key("max_ms").Double(op.MaxUs() / 1000.0);
+    WriteHwFields(w, op.hw, op.hw_samples);
+    w.EndObject();
   }
-  out += "],";
+  w.EndArray();
 
-  AppendKey(&out, "counters");
-  out += "{";
+  w.Key("counters").BeginObject();
   for (size_t c = 0; c < kNumCounters; ++c) {
-    if (c != 0) out += ",";
-    AppendKey(&out, CounterName(static_cast<Counter>(c)));
-    AppendU64(&out, report.metrics.counters[c]);
+    w.Key(CounterName(static_cast<Counter>(c)))
+        .U64(report.metrics.counters[c]);
   }
-  out += "},";
-
-  AppendKey(&out, "gauges");
-  out += "{";
+  w.EndObject();
+  w.Key("gauges").BeginObject();
   for (size_t g = 0; g < kNumGauges; ++g) {
-    if (g != 0) out += ",";
-    AppendKey(&out, GaugeName(static_cast<Gauge>(g)));
-    AppendU64(&out, report.metrics.gauges[g]);
+    w.Key(GaugeName(static_cast<Gauge>(g))).U64(report.metrics.gauges[g]);
   }
-  out += "}";
+  w.EndObject();
 
-  if (report.has_driver) {
-    const DriverSection& d = report.driver;
-    out += ",";
-    AppendKey(&out, "driver");
-    out += "{";
-    AppendKey(&out, "operations_executed");
-    AppendU64(&out, d.operations_executed);
-    out += ",";
-    AppendKey(&out, "operations_failed");
-    AppendU64(&out, d.operations_failed);
-    out += ",";
-    AppendKey(&out, "elapsed_seconds");
-    AppendDouble(&out, d.elapsed_seconds);
-    out += ",";
-    AppendKey(&out, "ops_per_second");
-    AppendDouble(&out, d.ops_per_second);
-    out += ",";
-    AppendKey(&out, "max_schedule_lag_ms");
-    AppendDouble(&out, d.max_schedule_lag_ms);
-    out += ",";
-    AppendKey(&out, "dependencies_tracked");
-    AppendU64(&out, d.dependencies_tracked);
-    out += ",";
-    AppendKey(&out, "dependent_waits");
-    AppendU64(&out, d.dependent_waits);
-    out += ",";
-    AppendKey(&out, "lag_timeline_ms");
-    out += "[";
-    for (size_t i = 0; i < d.lag_timeline_ms.size(); ++i) {
-      if (i != 0) out += ",";
-      out += "[";
-      AppendDouble(&out, d.lag_timeline_ms[i].first);
-      out += ",";
-      AppendDouble(&out, d.lag_timeline_ms[i].second);
-      out += "]";
-    }
-    out += "]}";
-  }
-
-  if (report.has_compliance) {
-    const ComplianceSection& c = report.compliance;
-    out += ",";
-    AppendKey(&out, "compliance");
-    out += "{";
-    AppendKey(&out, "window_ms");
-    AppendDouble(&out, c.window_ms);
-    out += ",";
-    AppendKey(&out, "required_on_time_fraction");
-    AppendDouble(&out, c.required_on_time_fraction);
-    out += ",";
-    AppendKey(&out, "scheduled_ops");
-    AppendU64(&out, c.scheduled_ops);
-    out += ",";
-    AppendKey(&out, "on_time_ops");
-    AppendU64(&out, c.on_time_ops);
-    out += ",";
-    AppendKey(&out, "on_time_fraction");
-    AppendDouble(&out, c.on_time_fraction);
-    out += ",";
-    AppendKey(&out, "passed");
-    out += c.passed ? "true" : "false";
-    out += ",";
-    AppendKey(&out, "lateness_histogram_ms");
-    out += "[";
-    for (size_t i = 0; i < c.lateness_histogram_ms.size(); ++i) {
-      if (i != 0) out += ",";
-      out += "[";
-      AppendDouble(&out, c.lateness_histogram_ms[i].first);
-      out += ",";
-      AppendU64(&out, c.lateness_histogram_ms[i].second);
-      out += "]";
-    }
-    out += "],";
-    AppendKey(&out, "worst_offenders");
-    out += "[";
-    for (size_t i = 0; i < c.per_op.size(); ++i) {
-      const ComplianceOpEntry& entry = c.per_op[i];
-      if (i != 0) out += ",";
-      out += "{";
-      AppendKey(&out, "op");
-      AppendEscaped(&out, entry.op);
-      out += ",";
-      AppendKey(&out, "scheduled");
-      AppendU64(&out, entry.scheduled);
-      out += ",";
-      AppendKey(&out, "late");
-      AppendU64(&out, entry.late);
-      out += ",";
-      AppendKey(&out, "max_late_ms");
-      AppendDouble(&out, entry.max_late_ms);
-      out += "}";
-    }
-    out += "]}";
-  }
-
-  if (report.has_q9_profile) {
-    const Q9ProfileSection& q9 = report.q9_profile;
-    out += ",";
-    AppendKey(&out, "q9_profile");
-    out += "{";
-    AppendKey(&out, "plan");
-    AppendEscaped(&out, q9.plan);
-    out += ",";
-    AppendKey(&out, "operators");
-    out += "[";
-    for (size_t i = 0; i < q9.operators.size(); ++i) {
-      const OperatorEntry& entry = q9.operators[i];
-      if (i != 0) out += ",";
-      out += "{";
-      AppendKey(&out, "name");
-      AppendEscaped(&out, entry.name);
-      out += ",";
-      AppendKey(&out, "invocations");
-      AppendU64(&out, entry.stats.invocations);
-      out += ",";
-      AppendKey(&out, "time_ms");
-      AppendDouble(&out, entry.stats.TimeMs());
-      out += ",";
-      AppendKey(&out, "rows");
-      AppendU64(&out, entry.stats.rows);
-      AppendHwFields(&out, entry.stats.hw, entry.stats.hw_invocations);
-      out += "}";
-    }
-    out += "]}";
-  }
-
-  if (report.has_validation) {
-    const ValidationSection& v = report.validation;
-    out += ",";
-    AppendKey(&out, "validation");
-    out += "{";
-    AppendKey(&out, "passed");
-    out += v.passed ? "true" : "false";
-    out += ",";
-    AppendKey(&out, "golden_path");
-    AppendEscaped(&out, v.golden_path);
-    out += ",";
-    AppendKey(&out, "threads");
-    AppendU64(&out, v.threads);
-    out += ",";
-    AppendKey(&out, "mode");
-    AppendEscaped(&out, v.mode);
-    out += ",";
-    AppendKey(&out, "segments_compared");
-    AppendU64(&out, v.segments_compared);
-    out += ",";
-    AppendKey(&out, "ops_compared");
-    AppendU64(&out, v.ops_compared);
-    out += ",";
-    AppendKey(&out, "rows_compared");
-    AppendU64(&out, v.rows_compared);
-    out += ",";
-    AppendKey(&out, "diffs");
-    AppendU64(&out, v.diffs);
-    out += ",";
-    AppendKey(&out, "first_divergence");
-    AppendEscaped(&out, v.first_divergence);
-    out += "}";
-  }
-
-  if (report.has_provenance) {
-    const ProvenanceSection& p = report.provenance;
-    out += ",";
-    AppendKey(&out, "provenance");
-    out += "{";
-    AppendKey(&out, "git_sha");
-    AppendEscaped(&out, p.git_sha);
-    out += ",";
-    AppendKey(&out, "compiler");
-    AppendEscaped(&out, p.compiler);
-    out += ",";
-    AppendKey(&out, "build_type");
-    AppendEscaped(&out, p.build_type);
-    out += ",";
-    AppendKey(&out, "simd");
-    out += p.simd ? "true" : "false";
-    out += ",";
-    AppendKey(&out, "sanitizer");
-    AppendEscaped(&out, p.sanitizer);
-    out += "}";
-  }
-
-  if (report.has_perf) {
-    const PerfSection& p = report.perf;
-    out += ",";
-    AppendKey(&out, "perf");
-    out += "{";
-    AppendKey(&out, "backend");
-    AppendEscaped(&out, p.backend);
-    out += ",";
-    AppendKey(&out, "counters_available");
-    out += p.counters_available ? "true" : "false";
-    out += ",";
-    AppendKey(&out, "message");
-    AppendEscaped(&out, p.message);
-    out += "}";
-  }
-
-  if (!report.dossiers.empty()) {
-    out += ",";
-    AppendKey(&out, "dossiers");
-    out += "[";
-    for (size_t i = 0; i < report.dossiers.size(); ++i) {
-      const SlowQueryDossier& d = report.dossiers[i];
-      if (i != 0) out += ",";
-      out += "{";
-      AppendKey(&out, "op");
-      AppendEscaped(&out, OpTypeName(d.op));
-      out += ",";
-      AppendKey(&out, "seq");
-      AppendU64(&out, d.seq);
-      out += ",";
-      AppendKey(&out, "latency_ms");
-      AppendDouble(&out, static_cast<double>(d.latency_ns) / 1e6);
-      AppendHwFields(&out, d.hw, 1);
-      out += ",";
-      AppendKey(&out, "operators");
-      out += "[";
-      for (size_t j = 0; j < d.operators.size(); ++j) {
-        const DossierOperatorRow& row = d.operators[j];
-        if (j != 0) out += ",";
-        out += "{";
-        AppendKey(&out, "name");
-        AppendEscaped(&out, row.name);
-        out += ",";
-        AppendKey(&out, "invocations");
-        AppendU64(&out, row.invocations);
-        out += ",";
-        AppendKey(&out, "time_ms");
-        AppendDouble(&out, static_cast<double>(row.time_ns) / 1e6);
-        out += ",";
-        AppendKey(&out, "rows");
-        AppendU64(&out, row.rows);
-        AppendHwFields(&out, row.hw, row.hw_invocations);
-        out += "}";
-      }
-      out += "]}";
-    }
-    out += "]";
-  }
-
-  if (report.has_trace_stats) {
-    const TraceStatsSection& t = report.trace_stats;
-    out += ",";
-    AppendKey(&out, "trace");
-    out += "{";
-    AppendKey(&out, "recorded");
-    AppendU64(&out, t.recorded);
-    out += ",";
-    AppendKey(&out, "dropped");
-    AppendU64(&out, t.dropped);
-    out += ",";
-    AppendKey(&out, "lanes");
-    out += "[";
-    for (size_t i = 0; i < t.lanes.size(); ++i) {
-      const TraceStatsSection::LaneRow& lane = t.lanes[i];
-      if (i != 0) out += ",";
-      out += "{";
-      AppendKey(&out, "lane");
-      AppendU64(&out, lane.lane);
-      out += ",";
-      AppendKey(&out, "recorded");
-      AppendU64(&out, lane.recorded);
-      out += ",";
-      AppendKey(&out, "retained");
-      AppendU64(&out, lane.retained);
-      out += ",";
-      AppendKey(&out, "dropped");
-      AppendU64(&out, lane.dropped);
-      out += "}";
-    }
-    out += "]}";
-  }
-
-  if (report.has_profile) {
-    const ProfileSection& p = report.profile;
-    out += ",";
-    AppendKey(&out, "profile");
-    out += "{";
-    AppendKey(&out, "backend");
-    AppendEscaped(&out, p.backend);
-    out += ",";
-    AppendKey(&out, "message");
-    AppendEscaped(&out, p.message);
-    out += ",";
-    AppendKey(&out, "interval_us");
-    AppendU64(&out, p.interval_us);
-    out += ",";
-    AppendKey(&out, "captured");
-    AppendU64(&out, p.captured);
-    out += ",";
-    AppendKey(&out, "attributed");
-    AppendU64(&out, p.attributed);
-    out += ",";
-    AppendKey(&out, "unattributed");
-    AppendU64(&out, p.unattributed);
-    out += ",";
-    AppendKey(&out, "dropped");
-    AppendU64(&out, p.dropped);
-    out += ",";
-    AppendKey(&out, "self_overhead_ns");
-    AppendU64(&out, p.self_overhead_ns);
-    out += ",";
-    AppendKey(&out, "task_clock_ns");
-    AppendU64(&out, p.task_clock_ns);
-    out += ",";
-    AppendKey(&out, "threads");
-    AppendU64(&out, p.threads);
-    out += ",";
-    AppendKey(&out, "top_frames");
-    out += "[";
-    for (size_t i = 0; i < p.top_frames.size(); ++i) {
-      const ProfileSection::OpFrames& op = p.top_frames[i];
-      if (i != 0) out += ",";
-      out += "{";
-      AppendKey(&out, "op");
-      AppendEscaped(&out, op.op);
-      out += ",";
-      AppendKey(&out, "samples");
-      AppendU64(&out, op.samples);
-      out += ",";
-      AppendKey(&out, "frames");
-      out += "[";
-      for (size_t j = 0; j < op.frames.size(); ++j) {
-        if (j != 0) out += ",";
-        out += "{";
-        AppendKey(&out, "frame");
-        AppendEscaped(&out, op.frames[j].frame);
-        out += ",";
-        AppendKey(&out, "samples");
-        AppendU64(&out, op.frames[j].samples);
-        out += "}";
-      }
-      out += "]}";
-    }
-    out += "]}";
-  }
-
-  out += "}";
-  return out;
+  if (report.has_driver) WriteDriver(w, report.driver);
+  if (report.has_compliance) WriteCompliance(w, report.compliance);
+  if (report.has_q9_profile) WriteQ9Profile(w, report.q9_profile);
+  if (report.has_validation) WriteValidation(w, report.validation);
+  if (report.has_provenance) WriteProvenance(w, report.provenance);
+  if (report.has_perf) WritePerf(w, report.perf);
+  if (!report.dossiers.empty()) WriteDossiers(w, report.dossiers);
+  if (report.has_trace_stats) WriteTraceStats(w, report.trace_stats);
+  if (report.has_profile) WriteProfile(w, report.profile);
+  w.EndObject();
+  return w.Take();
 }
 
 ProvenanceSection BuildProvenance() {
@@ -931,49 +447,39 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
 util::Status ValidateReportJson(const std::string& json) {
   JsonValue root;
   std::string error;
-  if (!ParseJson(json, &root, &error)) {
+  if (!util::ParseJson(json, &root, &error)) {
     return util::Status::InvalidArgument("report is not valid JSON: " +
                                          error);
   }
-  if (root.kind != JsonValue::Kind::kObject) {
+  if (root.kind != Kind::kObject) {
     return util::Status::InvalidArgument("report root is not an object");
   }
-  const JsonValue* schema = root.Find("schema");
-  // Each version is a superset of its predecessors; archived v1-v4
-  // reports must keep validating.
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      (schema->string != "snb-report-v1" &&
-       schema->string != "snb-report-v2" &&
-       schema->string != "snb-report-v3" &&
-       schema->string != "snb-report-v4" &&
-       schema->string != "snb-report-v5")) {
-    return util::Status::InvalidArgument("missing/unknown schema tag");
-  }
-  const JsonValue* ops = root.Find("ops");
-  if (ops == nullptr || ops->kind != JsonValue::Kind::kArray) {
+  SNB_RETURN_IF_ERROR(util::CheckSchema(root, "snb-report-v5", "report"));
+  const JsonValue* ops = root.Find("ops", Kind::kArray);
+  if (ops == nullptr) {
     return util::Status::InvalidArgument("missing \"ops\" array");
   }
   if (ops->array.empty()) {
     return util::Status::InvalidArgument("\"ops\" array is empty");
   }
   for (const JsonValue& op : ops->array) {
-    if (op.kind != JsonValue::Kind::kObject) {
+    if (op.kind != Kind::kObject) {
       return util::Status::InvalidArgument("op entry is not an object");
     }
-    const JsonValue* name = op.Find("op");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString) {
+    const JsonValue* name = op.Find("op", Kind::kString);
+    if (name == nullptr) {
       return util::Status::InvalidArgument("op entry lacks a name");
     }
-    double count = NumberOr(op, "count", -1.0);
+    double count = op.NumberOr("count", -1.0);
     if (count <= 0.0) {
       return util::Status::InvalidArgument("op " + name->string +
                                            " has no samples");
     }
-    double p50 = NumberOr(op, "p50_ms", -1.0);
-    double p90 = NumberOr(op, "p90_ms", -1.0);
-    double p95 = NumberOr(op, "p95_ms", -1.0);
-    double p99 = NumberOr(op, "p99_ms", -1.0);
-    double max = NumberOr(op, "max_ms", -1.0);
+    double p50 = op.NumberOr("p50_ms", -1.0);
+    double p90 = op.NumberOr("p90_ms", -1.0);
+    double p95 = op.NumberOr("p95_ms", -1.0);
+    double p99 = op.NumberOr("p99_ms", -1.0);
+    double max = op.NumberOr("max_ms", -1.0);
     if (p50 < 0.0 || p90 < 0.0 || p95 < 0.0 || p99 < 0.0 || max < 0.0) {
       return util::Status::InvalidArgument("op " + name->string +
                                            " lacks percentile fields");
@@ -988,22 +494,23 @@ util::Status ValidateReportJson(const std::string& json) {
   }
   const JsonValue* compliance = root.Find("compliance");
   if (compliance != nullptr) {
-    double scheduled = NumberOr(*compliance, "scheduled_ops", -1.0);
-    double on_time = NumberOr(*compliance, "on_time_ops", -1.0);
-    double fraction = NumberOr(*compliance, "on_time_fraction", -1.0);
+    double scheduled = compliance->NumberOr("scheduled_ops", -1.0);
+    double on_time = compliance->NumberOr("on_time_ops", -1.0);
+    double fraction = compliance->NumberOr("on_time_fraction", -1.0);
     if (scheduled < 0.0 || on_time < 0.0 || fraction < 0.0 ||
         fraction > 1.0 + 1e-9 || on_time > scheduled + 1e-9) {
       return util::Status::InvalidArgument(
           "compliance section is inconsistent");
     }
-    const JsonValue* hist = compliance->Find("lateness_histogram_ms");
-    if (hist == nullptr || hist->kind != JsonValue::Kind::kArray) {
+    const JsonValue* hist =
+        compliance->Find("lateness_histogram_ms", Kind::kArray);
+    if (hist == nullptr) {
       return util::Status::InvalidArgument(
           "compliance lacks a lateness histogram");
     }
     double hist_total = 0.0;
     for (const JsonValue& row : hist->array) {
-      if (row.kind != JsonValue::Kind::kArray || row.array.size() != 2) {
+      if (row.kind != Kind::kArray || row.array.size() != 2) {
         return util::Status::InvalidArgument(
             "compliance histogram row is not a [edge_ms, count] pair");
       }
@@ -1016,16 +523,15 @@ util::Status ValidateReportJson(const std::string& json) {
   }
   const JsonValue* q9 = root.Find("q9_profile");
   if (q9 != nullptr) {
-    const JsonValue* operators = q9->Find("operators");
+    const JsonValue* operators = q9->Find("operators", Kind::kArray);
     if (operators == nullptr ||
-        operators->kind != JsonValue::Kind::kArray ||
         operators->array.empty()) {
       return util::Status::InvalidArgument(
           "q9_profile lacks a non-empty operators array");
     }
     for (const JsonValue& entry : operators->array) {
-      if (NumberOr(entry, "time_ms", -1.0) < 0.0 ||
-          NumberOr(entry, "invocations", -1.0) < 0.0) {
+      if (entry.NumberOr("time_ms", -1.0) < 0.0 ||
+          entry.NumberOr("invocations", -1.0) < 0.0) {
         return util::Status::InvalidArgument(
             "q9_profile operator entry lacks time/invocations");
       }
@@ -1033,13 +539,13 @@ util::Status ValidateReportJson(const std::string& json) {
   }
   const JsonValue* validation = root.Find("validation");
   if (validation != nullptr) {
-    const JsonValue* passed = validation->Find("passed");
-    if (passed == nullptr || passed->kind != JsonValue::Kind::kBool) {
+    const JsonValue* passed = validation->Find("passed", Kind::kBool);
+    if (passed == nullptr) {
       return util::Status::InvalidArgument(
           "validation section lacks a boolean \"passed\"");
     }
-    double diffs = NumberOr(*validation, "diffs", -1.0);
-    double rows = NumberOr(*validation, "rows_compared", -1.0);
+    double diffs = validation->NumberOr("diffs", -1.0);
+    double rows = validation->NumberOr("rows_compared", -1.0);
     if (diffs < 0.0 || rows < 0.0) {
       return util::Status::InvalidArgument(
           "validation section lacks diffs/rows_compared");
@@ -1051,27 +557,25 @@ util::Status ValidateReportJson(const std::string& json) {
   }
   const JsonValue* provenance = root.Find("provenance");
   if (provenance != nullptr) {
-    const JsonValue* sha = provenance->Find("git_sha");
-    const JsonValue* compiler = provenance->Find("compiler");
-    if (sha == nullptr || sha->kind != JsonValue::Kind::kString ||
-        sha->string.empty() || compiler == nullptr ||
-        compiler->kind != JsonValue::Kind::kString) {
+    const JsonValue* sha = provenance->Find("git_sha", Kind::kString);
+    const JsonValue* compiler = provenance->Find("compiler", Kind::kString);
+    if (sha == nullptr ||
+        sha->string.empty() || compiler == nullptr) {
       return util::Status::InvalidArgument(
           "provenance section lacks git_sha/compiler strings");
     }
   }
   const JsonValue* perf = root.Find("perf");
   if (perf != nullptr) {
-    const JsonValue* backend = perf->Find("backend");
-    if (backend == nullptr || backend->kind != JsonValue::Kind::kString ||
+    const JsonValue* backend = perf->Find("backend", Kind::kString);
+    if (backend == nullptr ||
         (backend->string != "disabled" && backend->string != "noop" &&
          backend->string != "linux")) {
       return util::Status::InvalidArgument(
           "perf section has a missing/unknown backend");
     }
-    const JsonValue* available = perf->Find("counters_available");
-    if (available == nullptr ||
-        available->kind != JsonValue::Kind::kBool) {
+    const JsonValue* available = perf->Find("counters_available", Kind::kBool);
+    if (available == nullptr) {
       return util::Status::InvalidArgument(
           "perf section lacks a boolean counters_available");
     }
@@ -1083,21 +587,20 @@ util::Status ValidateReportJson(const std::string& json) {
   }
   const JsonValue* dossiers = root.Find("dossiers");
   if (dossiers != nullptr) {
-    if (dossiers->kind != JsonValue::Kind::kArray) {
+    if (dossiers->kind != Kind::kArray) {
       return util::Status::InvalidArgument("dossiers is not an array");
     }
     for (const JsonValue& d : dossiers->array) {
-      const JsonValue* op = d.Find("op");
-      if (op == nullptr || op->kind != JsonValue::Kind::kString) {
+      const JsonValue* op = d.Find("op", Kind::kString);
+      if (op == nullptr) {
         return util::Status::InvalidArgument("dossier lacks an op name");
       }
-      if (NumberOr(d, "latency_ms", -1.0) < 0.0) {
+      if (d.NumberOr("latency_ms", -1.0) < 0.0) {
         return util::Status::InvalidArgument(
             "dossier " + op->string + " lacks a latency");
       }
-      const JsonValue* operators = d.Find("operators");
-      if (operators == nullptr ||
-          operators->kind != JsonValue::Kind::kArray) {
+      const JsonValue* operators = d.Find("operators", Kind::kArray);
+      if (operators == nullptr) {
         return util::Status::InvalidArgument(
             "dossier " + op->string + " lacks an operators array");
       }
@@ -1105,23 +608,23 @@ util::Status ValidateReportJson(const std::string& json) {
   }
   const JsonValue* trace = root.Find("trace");
   if (trace != nullptr) {
-    double recorded = NumberOr(*trace, "recorded", -1.0);
-    double dropped = NumberOr(*trace, "dropped", -1.0);
+    double recorded = trace->NumberOr("recorded", -1.0);
+    double dropped = trace->NumberOr("dropped", -1.0);
     if (recorded < 0.0 || dropped < 0.0 || dropped > recorded + 1e-9) {
       return util::Status::InvalidArgument(
           "trace section accounting is inconsistent");
     }
     const JsonValue* lanes = trace->Find("lanes");
     if (lanes != nullptr) {
-      if (lanes->kind != JsonValue::Kind::kArray) {
+      if (lanes->kind != Kind::kArray) {
         return util::Status::InvalidArgument("trace lanes is not an array");
       }
       double lane_recorded = 0.0;
       double lane_dropped = 0.0;
       for (const JsonValue& lane : lanes->array) {
-        double rec = NumberOr(lane, "recorded", -1.0);
-        double ret = NumberOr(lane, "retained", -1.0);
-        double drop = NumberOr(lane, "dropped", -1.0);
+        double rec = lane.NumberOr("recorded", -1.0);
+        double ret = lane.NumberOr("retained", -1.0);
+        double drop = lane.NumberOr("dropped", -1.0);
         if (rec < 0.0 || ret < 0.0 || drop < 0.0 ||
             std::abs(ret + drop - rec) > 1e-6) {
           return util::Status::InvalidArgument(
@@ -1140,22 +643,22 @@ util::Status ValidateReportJson(const std::string& json) {
   }
   const JsonValue* profile = root.Find("profile");
   if (profile != nullptr) {
-    if (profile->kind != JsonValue::Kind::kObject) {
+    if (profile->kind != Kind::kObject) {
       return util::Status::InvalidArgument("profile is not an object");
     }
-    const JsonValue* backend = profile->Find("backend");
-    if (backend == nullptr || backend->kind != JsonValue::Kind::kString ||
+    const JsonValue* backend = profile->Find("backend", Kind::kString);
+    if (backend == nullptr ||
         (backend->string != "disabled" && backend->string != "noop" &&
          backend->string != "timer")) {
       return util::Status::InvalidArgument(
           "profile backend is not one of disabled/noop/timer");
     }
-    double captured = NumberOr(*profile, "captured", -1.0);
-    double attributed = NumberOr(*profile, "attributed", -1.0);
-    double unattributed = NumberOr(*profile, "unattributed", -1.0);
-    double dropped = NumberOr(*profile, "dropped", -1.0);
-    double overhead = NumberOr(*profile, "self_overhead_ns", -1.0);
-    double task_clock = NumberOr(*profile, "task_clock_ns", -1.0);
+    double captured = profile->NumberOr("captured", -1.0);
+    double attributed = profile->NumberOr("attributed", -1.0);
+    double unattributed = profile->NumberOr("unattributed", -1.0);
+    double dropped = profile->NumberOr("dropped", -1.0);
+    double overhead = profile->NumberOr("self_overhead_ns", -1.0);
+    double task_clock = profile->NumberOr("task_clock_ns", -1.0);
     if (captured < 0.0 || attributed < 0.0 || unattributed < 0.0 ||
         dropped < 0.0 || overhead < 0.0 || task_clock < 0.0) {
       return util::Status::InvalidArgument(
@@ -1180,23 +683,23 @@ util::Status ValidateReportJson(const std::string& json) {
     }
     const JsonValue* top_frames = profile->Find("top_frames");
     if (top_frames != nullptr) {
-      if (top_frames->kind != JsonValue::Kind::kArray) {
+      if (top_frames->kind != Kind::kArray) {
         return util::Status::InvalidArgument(
             "profile top_frames is not an array");
       }
       for (const JsonValue& op_row : top_frames->array) {
-        const JsonValue* op = op_row.Find("op");
-        if (op == nullptr || op->kind != JsonValue::Kind::kString ||
+        const JsonValue* op = op_row.Find("op", Kind::kString);
+        if (op == nullptr ||
             op->string.empty()) {
           return util::Status::InvalidArgument(
               "profile top_frames row lacks an op name");
         }
-        if (NumberOr(op_row, "samples", -1.0) < 0.0) {
+        if (op_row.NumberOr("samples", -1.0) < 0.0) {
           return util::Status::InvalidArgument(
               "profile top_frames row " + op->string + " lacks samples");
         }
-        const JsonValue* frames = op_row.Find("frames");
-        if (frames == nullptr || frames->kind != JsonValue::Kind::kArray) {
+        const JsonValue* frames = op_row.Find("frames", Kind::kArray);
+        if (frames == nullptr) {
           return util::Status::InvalidArgument(
               "profile top_frames row " + op->string +
               " lacks a frames array");
@@ -1204,15 +707,15 @@ util::Status ValidateReportJson(const std::string& json) {
         // Every sampled stack contributes a leaf (a placeholder at
         // worst), so an op that claims samples must show frames.
         if (frames->array.empty() &&
-            NumberOr(op_row, "samples", 0.0) > 0.0) {
+            op_row.NumberOr("samples", 0.0) > 0.0) {
           return util::Status::InvalidArgument(
               "profile top_frames row " + op->string +
               " has samples but no frames");
         }
         for (const JsonValue& frame : frames->array) {
-          const JsonValue* name = frame.Find("frame");
-          if (name == nullptr || name->kind != JsonValue::Kind::kString ||
-              NumberOr(frame, "samples", -1.0) < 0.0) {
+          const JsonValue* name = frame.Find("frame", Kind::kString);
+          if (name == nullptr ||
+              frame.NumberOr("samples", -1.0) < 0.0) {
             return util::Status::InvalidArgument(
                 "profile frame row under " + op->string +
                 " lacks frame/samples");
@@ -1220,20 +723,6 @@ util::Status ValidateReportJson(const std::string& json) {
         }
       }
     }
-  }
-  return util::Status::Ok();
-}
-
-util::Status WriteFileReport(const std::string& path,
-                             const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return util::Status::Internal("cannot open " + path + " for writing");
-  }
-  size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  int rc = std::fclose(f);
-  if (written != content.size() || rc != 0) {
-    return util::Status::Internal("short write to " + path);
   }
   return util::Status::Ok();
 }

@@ -10,26 +10,13 @@
 // lateness histogram and per-op worst offenders) and a Q9 per-operator
 // profile (the Figure 4 choke point).
 //
-// The JSON schema ("snb-report-v5") is stable and self-validating:
+// The JSON schema ("snb-report-v5") is the one report schema: every
+// section is optional except the op table, counters and gauges, and
 // ValidateReportJson re-parses an emitted document and checks structural
 // invariants (non-empty op table, monotone percentiles, compliance
 // consistency), which is what the bench smoke mode in scripts/check.sh
-// runs. Each version is a strict superset of its predecessor — every
-// field keeps its name and shape; v2 added the optional "compliance"
-// section, v3 the optional "validation" section (golden-replay outcome,
-// see src/validate/golden.h), v4 the optional "provenance", "perf",
-// "dossiers" and "trace" sections plus hardware-counter fields (ipc,
-// cycles_per_op, ...) on op and q9_profile rows, and v5 adds the
-// optional "profile" section (sampling-profiler accounting + top frames
-// per op, see src/obs/prof.h) — and the validator still accepts v1–v4
-// documents, so pre-existing readers and archived baselines keep
-// working. Two keys older writers emitted are gone and ignored when read:
-// the driver section's "sustained" flag (a max-lag rule that could
-// disagree with the compliance audit, which is now the one pace verdict)
-// and the top-level engine tag (every query has one serving plan). A
-// deliberately small JSON parser is exposed for tests and
-// validation; it handles exactly what the writer emits (objects,
-// arrays, strings, finite numbers, bools, null).
+// runs. Documents with any other schema tag are rejected as unsupported.
+// JSON itself (writing, parsing, typed reads) lives in util/json.h.
 #ifndef SNB_OBS_REPORT_H_
 #define SNB_OBS_REPORT_H_
 
@@ -46,25 +33,6 @@
 #include "util/status.h"
 
 namespace snb::obs {
-
-// ---- Minimal JSON value / parser (for validation & tests) ----------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-};
-
-/// Parses a complete JSON document. On failure returns false and describes
-/// the problem in *error (byte offset + reason).
-bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
 
 // ---- Report assembly ------------------------------------------------------
 
@@ -125,7 +93,7 @@ struct Q9ProfileSection {
 
 /// Outcome of a golden-set replay (tools/validate_run). Mirrors
 /// snb::validate::ReplayOutcome — obs cannot depend on the validate layer,
-/// so the tool converts. New in schema v3.
+/// so the tool converts.
 struct ValidationSection {
   bool passed = false;
   std::string golden_path;
@@ -140,7 +108,7 @@ struct ValidationSection {
 };
 
 /// Build/run provenance stamped into every report so counter numbers are
-/// comparable across machines and configs. New in schema v4.
+/// comparable across machines and configs.
 struct ProvenanceSection {
   std::string git_sha;     // HEAD at configure time; "unknown" outside git.
   std::string compiler;    // e.g. "GNU 13.2.0".
@@ -153,7 +121,7 @@ struct ProvenanceSection {
 /// compile definitions on the obs library).
 ProvenanceSection BuildProvenance();
 
-/// Hardware-counter subsystem outcome for the run. New in schema v4.
+/// Hardware-counter subsystem outcome for the run.
 struct PerfSection {
   std::string backend;  // perf::BackendName: disabled / noop / linux.
   bool counters_available = false;
@@ -164,7 +132,7 @@ struct PerfSection {
 PerfSection CurrentPerfSection();
 
 /// Trace-buffer accounting: how much of the run trace was retained and,
-/// per lane, how much a wrapped ring dropped. New in schema v4.
+/// per lane, how much a wrapped ring dropped.
 struct TraceStatsSection {
   uint64_t recorded = 0;
   uint64_t dropped = 0;
@@ -178,8 +146,7 @@ struct TraceStatsSection {
 };
 
 /// Sampling-CPU-profiler outcome: backend state, conserved sample
-/// accounting and the hottest frames per operation type. New in schema
-/// v5. The accounting invariants (captured == attributed + unattributed
+/// accounting and the hottest frames per operation type. The accounting invariants (captured == attributed + unattributed
 /// + dropped, self-overhead bounded by task-clock) are checked by
 /// ValidateReportJson and gated by scripts/compare_reports.py.
 struct ProfileSection {
@@ -226,7 +193,7 @@ struct RunReport {
   ProvenanceSection provenance;
   bool has_perf = false;
   PerfSection perf;
-  /// Slow-query dossiers (emitted when non-empty). New in schema v4.
+  /// Slow-query dossiers (emitted when non-empty).
   std::vector<SlowQueryDossier> dossiers;
   bool has_trace_stats = false;
   TraceStatsSection trace_stats;
@@ -248,8 +215,8 @@ std::string EscapePromLabelValue(const std::string& value);
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 
 /// Structural validation of an emitted report.json: parses, checks the
-/// schema tag (v1 through v5), a non-empty "ops" array, per-op monotone
-/// percentiles (p50 <= p90 <= p95 <= p99 <= max), and — when present —
+/// schema tag (snb-report-v5 only), a non-empty "ops" array, per-op
+/// monotone percentiles (p50 <= p90 <= p95 <= p99 <= max), and — when present —
 /// compliance-section consistency (fraction in [0,1], on-time count not
 /// exceeding scheduled count), validation-section consistency (a passing
 /// replay must report zero diffs), perf/provenance shape, dossier rows
@@ -259,11 +226,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 /// task clock, samples only under the timer backend). Used by tests and
 /// the check.sh smoke modes.
 util::Status ValidateReportJson(const std::string& json);
-
-/// Writes `content` to `path` atomically enough for a report artifact
-/// (truncate + write + close).
-util::Status WriteFileReport(const std::string& path,
-                             const std::string& content);
 
 }  // namespace snb::obs
 

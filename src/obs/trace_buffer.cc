@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace snb::obs {
 namespace {
@@ -19,21 +20,9 @@ uint32_t ThisLaneId() {
   return id;
 }
 
-void AppendEscapedString(std::string* out, const char* s) {
-  out->push_back('"');
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out->push_back('\\');
-    out->push_back(*s);
-  }
-  out->push_back('"');
-}
-
-/// Appends one ns timestamp as Chrome-trace microseconds (3 decimals).
-void AppendTsUs(std::string* out, uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(ns) / 1000.0);
-  *out += buf;
+/// Chrome-trace timestamp: ns as microseconds with 3 decimals.
+void WriteTs(util::JsonWriter& w, uint64_t ns) {
+  w.Key("ts").Fixed(static_cast<double>(ns) / 1000.0, 3);
 }
 
 /// One renderable span derived from a TraceEvent (either the operation's
@@ -45,73 +34,51 @@ struct Span {
   int64_t sched_ns;  // -1: no schedule args.
 };
 
-void EmitBegin(std::string* out, bool* first, uint16_t lane,
-               const Span& span) {
-  if (!*first) *out += ",\n";
-  *first = false;
-  *out += R"({"ph":"B","pid":0,"tid":)";
-  *out += std::to_string(lane);
-  *out += ",\"ts\":";
-  AppendTsUs(out, span.begin_ns);
-  *out += ",\"name\":";
-  AppendEscapedString(out, span.name);
+// Each Emit* writes one event on its own line, so a trace diffs by line.
+void EmitBegin(util::JsonWriter& w, uint16_t lane, const Span& span) {
+  w.Newline().BeginObject();
+  w.Key("ph").String("B").Key("pid").U64(0).Key("tid").U64(lane);
+  WriteTs(w, span.begin_ns);
+  w.Key("name").String(span.name);
   if (span.sched_ns >= 0) {
     // Scheduled vs. actual start: the schedule-compliance story per op.
-    char buf[96];
     double sched_ms = static_cast<double>(span.sched_ns) / 1e6;
     double lag_ms = (static_cast<double>(span.begin_ns) -
                      static_cast<double>(span.sched_ns)) /
                     1e6;
-    std::snprintf(buf, sizeof(buf),
-                  ",\"args\":{\"sched_ms\":%.3f,\"lag_ms\":%.3f}", sched_ms,
-                  lag_ms);
-    *out += buf;
+    w.Key("args").BeginObject();
+    w.Key("sched_ms").Fixed(sched_ms, 3).Key("lag_ms").Fixed(lag_ms, 3);
+    w.EndObject();
   }
-  *out += "}";
+  w.EndObject();
 }
 
-void EmitEnd(std::string* out, bool* first, uint16_t lane, uint64_t ts_ns) {
-  if (!*first) *out += ",\n";
-  *first = false;
-  *out += R"({"ph":"E","pid":0,"tid":)";
-  *out += std::to_string(lane);
-  *out += ",\"ts\":";
-  AppendTsUs(out, ts_ns);
-  *out += "}";
+void EmitEnd(util::JsonWriter& w, uint16_t lane, uint64_t ts_ns) {
+  w.Newline().BeginObject();
+  w.Key("ph").String("E").Key("pid").U64(0).Key("tid").U64(lane);
+  WriteTs(w, ts_ns);
+  w.EndObject();
 }
 
 /// Chrome-trace counter sample ("C" phase). Counter tracks are keyed by
 /// (pid, name), so the lane number is folded into the name to give every
 /// driver thread its own track.
-void EmitCounter(std::string* out, bool* first, const std::string& name,
-                 uint64_t ts_ns, double value) {
-  if (!*first) *out += ",\n";
-  *first = false;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", value);
-  *out += R"({"ph":"C","pid":0,"name":)";
-  AppendEscapedString(out, name.c_str());
-  *out += ",\"ts\":";
-  AppendTsUs(out, ts_ns);
-  *out += ",\"args\":{\"value\":";
-  *out += buf;
-  *out += "}}";
+void EmitCounter(util::JsonWriter& w, const std::string& name, uint64_t ts_ns,
+                 double value) {
+  w.Newline().BeginObject();
+  w.Key("ph").String("C").Key("pid").U64(0).Key("name").String(name);
+  WriteTs(w, ts_ns);
+  w.Key("args").BeginObject().Key("value").Fixed(value, 4).EndObject();
+  w.EndObject();
 }
 
-void EmitMetadata(std::string* out, bool* first, const char* name,
-                  int64_t tid, const std::string& value) {
-  if (!*first) *out += ",\n";
-  *first = false;
-  *out += R"({"ph":"M","pid":0,"name":")";
-  *out += name;
-  *out += "\"";
-  if (tid >= 0) {
-    *out += ",\"tid\":";
-    *out += std::to_string(tid);
-  }
-  *out += R"(,"args":{"name":)";
-  AppendEscapedString(out, value.c_str());
-  *out += "}}";
+void EmitMetadata(util::JsonWriter& w, const char* name, int64_t tid,
+                  const std::string& value) {
+  w.Newline().BeginObject();
+  w.Key("ph").String("M").Key("pid").U64(0).Key("name").String(name);
+  if (tid >= 0) w.Key("tid").I64(tid);
+  w.Key("args").BeginObject().Key("name").String(value).EndObject();
+  w.EndObject();
 }
 
 }  // namespace
@@ -217,11 +184,9 @@ std::vector<TraceEvent> TraceBuffer::Events() const {
 
 std::string ToChromeTraceJson(const TraceBuffer& buffer) {
   std::vector<TraceEvent> events = buffer.Events();
-  std::string out;
-  out.reserve(160 * events.size() + 1024);
-  out += "{\"traceEvents\":[\n";
-  bool first = true;
-  EmitMetadata(&out, &first, "process_name", -1, "snb-driver");
+  util::JsonWriter w(160 * events.size() + 1024);
+  w.BeginObject().Key("traceEvents").BeginArray();
+  EmitMetadata(w, "process_name", -1, "snb-driver");
 
   // Per lane: expand each event into (optional gct-wait span, op span),
   // sort by (begin asc, end desc) and emit a properly nested B/E stream
@@ -237,7 +202,7 @@ std::string ToChromeTraceJson(const TraceBuffer& buffer) {
     while (lane_end < events.size() && events[lane_end].lane == lane) {
       ++lane_end;
     }
-    EmitMetadata(&out, &first, "thread_name", lane,
+    EmitMetadata(w, "thread_name", lane,
                  "driver lane " + std::to_string(lane));
 
     std::vector<Span> spans;
@@ -260,15 +225,15 @@ std::string ToChromeTraceJson(const TraceBuffer& buffer) {
     std::vector<Span> open;
     for (Span span : spans) {
       while (!open.empty() && open.back().end_ns <= span.begin_ns) {
-        EmitEnd(&out, &first, lane, open.back().end_ns);
+        EmitEnd(w, lane, open.back().end_ns);
         open.pop_back();
       }
       if (!open.empty()) span.end_ns = std::min(span.end_ns, open.back().end_ns);
-      EmitBegin(&out, &first, lane, span);
+      EmitBegin(w, lane, span);
       open.push_back(span);
     }
     while (!open.empty()) {
-      EmitEnd(&out, &first, lane, open.back().end_ns);
+      EmitEnd(w, lane, open.back().end_ns);
       open.pop_back();
     }
 
@@ -282,20 +247,20 @@ std::string ToChromeTraceJson(const TraceBuffer& buffer) {
       if (!ev.hw.valid()) continue;
       if (ev.hw.Has(perf::HwMetric::kCycles) &&
           ev.hw.Has(perf::HwMetric::kInstructions)) {
-        EmitCounter(&out, &first, "hw.ipc" + lane_tag, ev.end_ns,
-                    ev.hw.Ipc());
+        EmitCounter(w, "hw.ipc" + lane_tag, ev.end_ns, ev.hw.Ipc());
       }
       if (ev.hw.Has(perf::HwMetric::kLlcLoadMisses) &&
           ev.hw.Has(perf::HwMetric::kInstructions)) {
-        EmitCounter(&out, &first, "hw.llc_miss_per_kinstr" + lane_tag,
-                    ev.end_ns, ev.hw.LlcMissesPerKiloInstr());
+        EmitCounter(w, "hw.llc_miss_per_kinstr" + lane_tag, ev.end_ns,
+                    ev.hw.LlcMissesPerKiloInstr());
       }
     }
     i = lane_end;
   }
 
-  out += "\n],\"displayTimeUnit\":\"ms\"}";
-  return out;
+  w.Newline().EndArray();
+  w.Key("displayTimeUnit").String("ms").EndObject();
+  return w.Take();
 }
 
 }  // namespace snb::obs

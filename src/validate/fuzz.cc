@@ -1,27 +1,22 @@
 #include "validate/fuzz.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
-#include "obs/report.h"
 #include "queries/complex_queries.h"
 #include "queries/short_queries.h"
 #include "relational/rel_queries.h"
 #include "store/graph_store.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "validate/canonical.h"
-#include "validate/json_io.h"
 #include "validate/oracle.h"
 
 namespace snb::validate {
 namespace {
 
 constexpr char kArtifactTag[] = "snb-fuzz-regression-v1";
-// v2 artifacts were written while the store could be partitioned into
-// shards: the same layout plus the shard count the mismatch was found at.
-// They still load; the count is range-checked and then ignored, since
-// every store now has one layout.
-constexpr char kArtifactTagV2[] = "snb-fuzz-regression-v2";
 constexpr char kWhat[] = "fuzz artifact";
 
 // ---- Synthetic correlated domains ----------------------------------------
@@ -736,381 +731,304 @@ bool MismatchReproduces(const FuzzMismatch& mismatch,
 
 namespace {
 
-using jsonio::AppendEscaped;
-using jsonio::AppendI64Field;
-using jsonio::AppendKey;
-using jsonio::AppendU64Field;
-using jsonio::AppendU64StrField;
+using util::JsonValue;
+using util::JsonWriter;
+using Kind = util::JsonValue::Kind;
 
-void AppendStringField(std::string* out, const char* key,
-                       const std::string& value) {
-  AppendKey(out, key);
-  AppendEscaped(out, value);
+util::Status ArtifactError(const std::string& problem) {
+  return util::Status::InvalidArgument(std::string(kWhat) + ": " + problem);
 }
 
-void AppendTagArray(std::string* out, const char* key,
-                    const std::vector<schema::TagId>& tags) {
-  AppendKey(out, key);
-  *out += "[";
-  for (size_t i = 0; i < tags.size(); ++i) {
-    if (i != 0) *out += ",";
-    *out += FormatU64(tags[i]);
+util::Status GetU64(const JsonValue& obj, const char* key, uint64_t* out) {
+  return util::GetU64(obj, key, out, kWhat);
+}
+
+util::Status GetI64(const JsonValue& obj, const char* key, int64_t* out) {
+  return util::GetI64(obj, key, out, kWhat);
+}
+
+util::Status GetString(const JsonValue& obj, const char* key,
+                       std::string* out) {
+  return util::GetString(obj, key, out, kWhat);
+}
+
+/// Reads a narrower unsigned field, rejecting values that do not fit.
+template <typename T>
+util::Status GetNarrow(const JsonValue& obj, const char* key, T* out) {
+  uint64_t u = 0;
+  SNB_RETURN_IF_ERROR(GetU64(obj, key, &u));
+  if (u > std::numeric_limits<T>::max()) {
+    return ArtifactError("field \"" + std::string(key) + "\" is out of range");
   }
-  *out += "]";
+  *out = static_cast<T>(u);
+  return util::Status::Ok();
 }
 
-void AppendRows(std::string* out, const char* key,
-                const std::vector<std::string>& rows) {
-  AppendKey(out, key);
-  *out += "[";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i != 0) *out += ",";
-    AppendEscaped(out, rows[i]);
-  }
-  *out += "]";
+void WriteRows(JsonWriter& w, const char* key,
+               const std::vector<std::string>& rows) {
+  w.Key(key).BeginArray();
+  for (const std::string& row : rows) w.String(row);
+  w.EndArray();
 }
 
-util::Status GetTagArray(const obs::JsonValue& obj, const char* key,
+void WriteTags(JsonWriter& w, const char* key,
+               const std::vector<schema::TagId>& tags) {
+  w.Key(key).BeginArray();
+  for (schema::TagId tag : tags) w.U64(tag);
+  w.EndArray();
+}
+
+util::Status GetTagArray(const JsonValue& obj, const char* key,
                          std::vector<schema::TagId>* out) {
-  const obs::JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != obs::JsonValue::Kind::kArray) {
-    return util::Status::InvalidArgument(std::string(kWhat) + ": bad \"" +
-                                         key + "\"");
-  }
-  for (const obs::JsonValue& e : v->array) {
-    out->push_back(static_cast<schema::TagId>(e.number));
+  const JsonValue* v = obj.Find(key, Kind::kArray);
+  if (v == nullptr) return ArtifactError("bad \"" + std::string(key) + "\"");
+  for (const JsonValue& e : v->array) {
+    uint64_t tag = 0;
+    util::Status st = e.kind == Kind::kNumber
+                          ? util::ToU64(e, &tag)
+                          : util::Status::InvalidArgument("is not a number");
+    if (st.ok() && tag > std::numeric_limits<schema::TagId>::max()) {
+      st = util::Status::InvalidArgument("is out of range");
+    }
+    if (!st.ok()) {
+      return ArtifactError("element of \"" + std::string(key) + "\" " +
+                           st.message());
+    }
+    out->push_back(static_cast<schema::TagId>(tag));
   }
   return util::Status::Ok();
 }
 
-util::Status GetRows(const obs::JsonValue& obj, const char* key,
+util::Status GetRows(const JsonValue& obj, const char* key,
                      std::vector<std::string>* out) {
-  const obs::JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != obs::JsonValue::Kind::kArray) {
-    return util::Status::InvalidArgument(std::string(kWhat) + ": bad \"" +
-                                         key + "\"");
-  }
-  for (const obs::JsonValue& e : v->array) {
+  const JsonValue* v = obj.Find(key, Kind::kArray);
+  if (v == nullptr) return ArtifactError("bad \"" + std::string(key) + "\"");
+  for (const JsonValue& e : v->array) {
+    if (e.kind != Kind::kString) {
+      return ArtifactError("element of \"" + std::string(key) +
+                           "\" is not a string");
+    }
     out->push_back(e.string);
   }
   return util::Status::Ok();
 }
 
-const obs::JsonValue* RequireArray(const obs::JsonValue& obj,
-                                   const char* key) {
-  const obs::JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != obs::JsonValue::Kind::kArray) return nullptr;
-  return v;
-}
-
 }  // namespace
 
 std::string MismatchToJson(const FuzzMismatch& mismatch) {
-  std::string out = "{";
-  AppendStringField(&out, "schema", kArtifactTag);
-  out += ",";
-  AppendKey(&out, "graph_seed");
-  AppendEscaped(&out, FormatU64(mismatch.graph_seed));
-  out += ",";
-  AppendStringField(&out, "backend", mismatch.backend);
-  out += ",\n";
+  // Header fields, then each section and each graph record on its own
+  // line, so a reproducer diffs by line.
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("schema").String(kArtifactTag);
+  w.Key("graph_seed").U64String(mismatch.graph_seed);
+  w.Key("backend").String(mismatch.backend);
 
   const FuzzBinding& b = mismatch.binding;
-  AppendKey(&out, "binding");
-  out += "{";
-  AppendStringField(&out, "op", b.op);
-  out += ",";
-  AppendU64StrField(&out, "person", b.person);
-  out += ",";
-  AppendU64StrField(&out, "person2", b.person2);
-  out += ",";
-  AppendU64StrField(&out, "message", b.message);
-  out += ",";
-  AppendI64Field(&out, "date", b.date);
-  out += ",";
-  AppendI64Field(&out, "days", b.days);
-  out += ",";
-  AppendU64Field(&out, "a", b.a);
-  out += ",";
-  AppendU64Field(&out, "b", b.b);
-  out += ",";
-  AppendStringField(&out, "name", b.name);
-  out += "},\n";
+  w.Newline().Key("binding").BeginObject();
+  w.Key("op").String(b.op);
+  w.Key("person").U64String(b.person);
+  w.Key("person2").U64String(b.person2);
+  w.Key("message").U64String(b.message);
+  w.Key("date").I64(b.date);
+  w.Key("days").I64(b.days);
+  w.Key("a").U64(b.a);
+  w.Key("b").U64(b.b);
+  w.Key("name").String(b.name);
+  w.EndObject();
 
-  AppendRows(&out, "expected", mismatch.expected);
-  out += ",\n";
-  AppendRows(&out, "actual", mismatch.actual);
-  out += ",\n";
+  w.Newline();
+  WriteRows(w, "expected", mismatch.expected);
+  w.Newline();
+  WriteRows(w, "actual", mismatch.actual);
 
   const schema::SocialNetwork& g = mismatch.graph;
-  AppendKey(&out, "graph");
-  out += "{";
-  AppendKey(&out, "persons");
-  out += "[";
-  for (size_t i = 0; i < g.persons.size(); ++i) {
-    const schema::Person& p = g.persons[i];
-    if (i != 0) out += ",";
-    out += "\n{";
-    AppendU64StrField(&out, "id", p.id);
-    out += ",";
-    AppendStringField(&out, "first_name", p.first_name);
-    out += ",";
-    AppendStringField(&out, "last_name", p.last_name);
-    out += ",";
-    AppendU64Field(&out, "gender", p.gender);
-    out += ",";
-    AppendI64Field(&out, "birthday", p.birthday);
-    out += ",";
-    AppendI64Field(&out, "creation_date", p.creation_date);
-    out += ",";
-    AppendU64Field(&out, "city", p.city_id);
-    out += ",";
-    AppendStringField(&out, "browser", p.browser);
-    out += ",";
-    AppendStringField(&out, "ip", p.location_ip);
-    out += ",";
-    AppendTagArray(&out, "interests", p.interests);
-    out += ",";
-    AppendU64Field(&out, "university", p.university_id);
-    out += ",";
-    AppendU64Field(&out, "study_year", p.study_year);
-    out += ",";
-    AppendU64Field(&out, "company", p.company_id);
-    out += ",";
-    AppendU64Field(&out, "work_year", p.work_year);
-    out += "}";
+  w.Newline().Key("graph").BeginObject();
+  w.Key("persons").BeginArray();
+  for (const schema::Person& p : g.persons) {
+    w.Newline().BeginObject();
+    w.Key("id").U64String(p.id);
+    w.Key("first_name").String(p.first_name);
+    w.Key("last_name").String(p.last_name);
+    w.Key("gender").U64(p.gender);
+    w.Key("birthday").I64(p.birthday);
+    w.Key("creation_date").I64(p.creation_date);
+    w.Key("city").U64(p.city_id);
+    w.Key("browser").String(p.browser);
+    w.Key("ip").String(p.location_ip);
+    WriteTags(w, "interests", p.interests);
+    w.Key("university").U64(p.university_id);
+    w.Key("study_year").U64(p.study_year);
+    w.Key("company").U64(p.company_id);
+    w.Key("work_year").U64(p.work_year);
+    w.EndObject();
   }
-  out += "],";
-  AppendKey(&out, "knows");
-  out += "[";
-  for (size_t i = 0; i < g.knows.size(); ++i) {
-    const schema::Knows& k = g.knows[i];
-    if (i != 0) out += ",";
-    out += "\n{";
-    AppendU64StrField(&out, "p1", k.person1_id);
-    out += ",";
-    AppendU64StrField(&out, "p2", k.person2_id);
-    out += ",";
-    AppendI64Field(&out, "since", k.creation_date);
-    out += "}";
+  w.EndArray();
+  w.Key("knows").BeginArray();
+  for (const schema::Knows& k : g.knows) {
+    w.Newline().BeginObject();
+    w.Key("p1").U64String(k.person1_id);
+    w.Key("p2").U64String(k.person2_id);
+    w.Key("since").I64(k.creation_date);
+    w.EndObject();
   }
-  out += "],";
-  AppendKey(&out, "forums");
-  out += "[";
-  for (size_t i = 0; i < g.forums.size(); ++i) {
-    const schema::Forum& f = g.forums[i];
-    if (i != 0) out += ",";
-    out += "\n{";
-    AppendU64StrField(&out, "id", f.id);
-    out += ",";
-    AppendStringField(&out, "title", f.title);
-    out += ",";
-    AppendU64StrField(&out, "moderator", f.moderator_id);
-    out += ",";
-    AppendI64Field(&out, "creation_date", f.creation_date);
-    out += "}";
+  w.EndArray();
+  w.Key("forums").BeginArray();
+  for (const schema::Forum& f : g.forums) {
+    w.Newline().BeginObject();
+    w.Key("id").U64String(f.id);
+    w.Key("title").String(f.title);
+    w.Key("moderator").U64String(f.moderator_id);
+    w.Key("creation_date").I64(f.creation_date);
+    w.EndObject();
   }
-  out += "],";
-  AppendKey(&out, "memberships");
-  out += "[";
-  for (size_t i = 0; i < g.memberships.size(); ++i) {
-    const schema::ForumMembership& m = g.memberships[i];
-    if (i != 0) out += ",";
-    out += "\n{";
-    AppendU64StrField(&out, "forum", m.forum_id);
-    out += ",";
-    AppendU64StrField(&out, "person", m.person_id);
-    out += ",";
-    AppendI64Field(&out, "join_date", m.join_date);
-    out += "}";
+  w.EndArray();
+  w.Key("memberships").BeginArray();
+  for (const schema::ForumMembership& m : g.memberships) {
+    w.Newline().BeginObject();
+    w.Key("forum").U64String(m.forum_id);
+    w.Key("person").U64String(m.person_id);
+    w.Key("join_date").I64(m.join_date);
+    w.EndObject();
   }
-  out += "],";
-  AppendKey(&out, "messages");
-  out += "[";
-  for (size_t i = 0; i < g.messages.size(); ++i) {
-    const schema::Message& m = g.messages[i];
-    if (i != 0) out += ",";
-    out += "\n{";
-    AppendU64StrField(&out, "id", m.id);
-    out += ",";
-    AppendU64Field(&out, "kind", static_cast<uint64_t>(m.kind));
-    out += ",";
-    AppendU64StrField(&out, "creator", m.creator_id);
-    out += ",";
-    AppendI64Field(&out, "creation_date", m.creation_date);
-    out += ",";
-    AppendU64StrField(&out, "forum", m.forum_id);
-    out += ",";
-    AppendU64StrField(&out, "reply_to", m.reply_to_id);
-    out += ",";
-    AppendU64StrField(&out, "root", m.root_post_id);
-    out += ",";
-    AppendStringField(&out, "content", m.content);
-    out += ",";
-    AppendTagArray(&out, "tags", m.tags);
-    out += ",";
-    AppendU64Field(&out, "country", m.country_id);
-    out += "}";
+  w.EndArray();
+  w.Key("messages").BeginArray();
+  for (const schema::Message& m : g.messages) {
+    w.Newline().BeginObject();
+    w.Key("id").U64String(m.id);
+    w.Key("kind").U64(static_cast<uint64_t>(m.kind));
+    w.Key("creator").U64String(m.creator_id);
+    w.Key("creation_date").I64(m.creation_date);
+    w.Key("forum").U64String(m.forum_id);
+    w.Key("reply_to").U64String(m.reply_to_id);
+    w.Key("root").U64String(m.root_post_id);
+    w.Key("content").String(m.content);
+    WriteTags(w, "tags", m.tags);
+    w.Key("country").U64(m.country_id);
+    w.EndObject();
   }
-  out += "],";
-  AppendKey(&out, "likes");
-  out += "[";
-  for (size_t i = 0; i < g.likes.size(); ++i) {
-    const schema::Like& l = g.likes[i];
-    if (i != 0) out += ",";
-    out += "\n{";
-    AppendU64StrField(&out, "person", l.person_id);
-    out += ",";
-    AppendU64StrField(&out, "message", l.message_id);
-    out += ",";
-    AppendI64Field(&out, "creation_date", l.creation_date);
-    out += "}";
+  w.EndArray();
+  w.Key("likes").BeginArray();
+  for (const schema::Like& l : g.likes) {
+    w.Newline().BeginObject();
+    w.Key("person").U64String(l.person_id);
+    w.Key("message").U64String(l.message_id);
+    w.Key("creation_date").I64(l.creation_date);
+    w.EndObject();
   }
-  out += "]}}\n";
-  return out;
+  w.EndArray().EndObject().EndObject();
+  return w.Take() + "\n";
 }
 
 util::Status MismatchFromJson(const std::string& json, FuzzMismatch* out) {
-  obs::JsonValue root;
+  JsonValue root;
   std::string error;
-  if (!obs::ParseJson(json, &root, &error)) {
-    return util::Status::InvalidArgument(std::string(kWhat) +
-                                         ": JSON parse error: " + error);
+  if (!util::ParseJson(json, &root, &error)) {
+    return ArtifactError("JSON parse error: " + error);
   }
-  std::string schema_tag;
-  SNB_RETURN_IF_ERROR(jsonio::GetString(root, "schema", &schema_tag, kWhat));
-  if (schema_tag != kArtifactTag && schema_tag != kArtifactTagV2) {
-    return util::Status::InvalidArgument(std::string(kWhat) +
-                                         ": unsupported schema \"" +
-                                         schema_tag + "\"");
-  }
-  SNB_RETURN_IF_ERROR(
-      jsonio::GetU64(root, "graph_seed", &out->graph_seed, kWhat));
-  if (schema_tag == kArtifactTagV2) {
-    uint64_t shards = 0;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(root, "shard_count", &shards, kWhat));
-    if (shards < 1 || shards > 8) {
-      return util::Status::InvalidArgument(
-          std::string(kWhat) + ": shard_count out of range [1, 8]");
-    }
-  }
-  SNB_RETURN_IF_ERROR(jsonio::GetString(root, "backend", &out->backend, kWhat));
+  SNB_RETURN_IF_ERROR(util::CheckSchema(root, kArtifactTag, kWhat));
+  SNB_RETURN_IF_ERROR(GetU64(root, "graph_seed", &out->graph_seed));
+  SNB_RETURN_IF_ERROR(GetString(root, "backend", &out->backend));
 
-  const obs::JsonValue* binding = root.Find("binding");
-  if (binding == nullptr) {
-    return util::Status::InvalidArgument(std::string(kWhat) +
-                                         ": missing \"binding\"");
-  }
+  const JsonValue* binding = root.Find("binding", Kind::kObject);
+  if (binding == nullptr) return ArtifactError("missing \"binding\"");
   FuzzBinding& b = out->binding;
-  SNB_RETURN_IF_ERROR(jsonio::GetString(*binding, "op", &b.op, kWhat));
-  SNB_RETURN_IF_ERROR(jsonio::GetU64(*binding, "person", &b.person, kWhat));
-  SNB_RETURN_IF_ERROR(jsonio::GetU64(*binding, "person2", &b.person2, kWhat));
-  SNB_RETURN_IF_ERROR(jsonio::GetU64(*binding, "message", &b.message, kWhat));
-  SNB_RETURN_IF_ERROR(jsonio::GetI64(*binding, "date", &b.date, kWhat));
+  SNB_RETURN_IF_ERROR(GetString(*binding, "op", &b.op));
+  SNB_RETURN_IF_ERROR(GetU64(*binding, "person", &b.person));
+  SNB_RETURN_IF_ERROR(GetU64(*binding, "person2", &b.person2));
+  SNB_RETURN_IF_ERROR(GetU64(*binding, "message", &b.message));
+  SNB_RETURN_IF_ERROR(GetI64(*binding, "date", &b.date));
   int64_t days = 0;
-  SNB_RETURN_IF_ERROR(jsonio::GetI64(*binding, "days", &days, kWhat));
+  SNB_RETURN_IF_ERROR(GetI64(*binding, "days", &days));
+  if (days < std::numeric_limits<int>::min() ||
+      days > std::numeric_limits<int>::max()) {
+    return ArtifactError("field \"days\" is out of range");
+  }
   b.days = static_cast<int>(days);
-  SNB_RETURN_IF_ERROR(jsonio::GetU64(*binding, "a", &b.a, kWhat));
-  SNB_RETURN_IF_ERROR(jsonio::GetU64(*binding, "b", &b.b, kWhat));
-  SNB_RETURN_IF_ERROR(jsonio::GetString(*binding, "name", &b.name, kWhat));
+  SNB_RETURN_IF_ERROR(GetU64(*binding, "a", &b.a));
+  SNB_RETURN_IF_ERROR(GetU64(*binding, "b", &b.b));
+  SNB_RETURN_IF_ERROR(GetString(*binding, "name", &b.name));
 
   SNB_RETURN_IF_ERROR(GetRows(root, "expected", &out->expected));
   SNB_RETURN_IF_ERROR(GetRows(root, "actual", &out->actual));
 
-  const obs::JsonValue* graph = root.Find("graph");
-  if (graph == nullptr) {
-    return util::Status::InvalidArgument(std::string(kWhat) +
-                                         ": missing \"graph\"");
-  }
+  const JsonValue* graph = root.Find("graph", Kind::kObject);
+  if (graph == nullptr) return ArtifactError("missing \"graph\"");
   schema::SocialNetwork& g = out->graph;
-  const obs::JsonValue* persons = RequireArray(*graph, "persons");
-  const obs::JsonValue* knows = RequireArray(*graph, "knows");
-  const obs::JsonValue* forums = RequireArray(*graph, "forums");
-  const obs::JsonValue* memberships = RequireArray(*graph, "memberships");
-  const obs::JsonValue* messages = RequireArray(*graph, "messages");
-  const obs::JsonValue* likes = RequireArray(*graph, "likes");
+  const JsonValue* persons = graph->Find("persons", Kind::kArray);
+  const JsonValue* knows = graph->Find("knows", Kind::kArray);
+  const JsonValue* forums = graph->Find("forums", Kind::kArray);
+  const JsonValue* memberships = graph->Find("memberships", Kind::kArray);
+  const JsonValue* messages = graph->Find("messages", Kind::kArray);
+  const JsonValue* likes = graph->Find("likes", Kind::kArray);
   if (persons == nullptr || knows == nullptr || forums == nullptr ||
       memberships == nullptr || messages == nullptr || likes == nullptr) {
-    return util::Status::InvalidArgument(std::string(kWhat) +
-                                         ": graph section incomplete");
+    return ArtifactError("graph section incomplete");
   }
-  for (const obs::JsonValue& v : persons->array) {
+  for (const JsonValue& v : persons->array) {
     schema::Person p;
-    uint64_t u = 0;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "id", &p.id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetString(v, "first_name", &p.first_name, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetString(v, "last_name", &p.last_name, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "gender", &u, kWhat));
-    p.gender = static_cast<uint8_t>(u);
-    SNB_RETURN_IF_ERROR(jsonio::GetI64(v, "birthday", &p.birthday, kWhat));
-    SNB_RETURN_IF_ERROR(
-        jsonio::GetI64(v, "creation_date", &p.creation_date, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "city", &u, kWhat));
-    p.city_id = static_cast<schema::PlaceId>(u);
-    SNB_RETURN_IF_ERROR(jsonio::GetString(v, "browser", &p.browser, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetString(v, "ip", &p.location_ip, kWhat));
+    SNB_RETURN_IF_ERROR(GetU64(v, "id", &p.id));
+    SNB_RETURN_IF_ERROR(GetString(v, "first_name", &p.first_name));
+    SNB_RETURN_IF_ERROR(GetString(v, "last_name", &p.last_name));
+    SNB_RETURN_IF_ERROR(GetNarrow(v, "gender", &p.gender));
+    SNB_RETURN_IF_ERROR(GetI64(v, "birthday", &p.birthday));
+    SNB_RETURN_IF_ERROR(GetI64(v, "creation_date", &p.creation_date));
+    SNB_RETURN_IF_ERROR(GetNarrow(v, "city", &p.city_id));
+    SNB_RETURN_IF_ERROR(GetString(v, "browser", &p.browser));
+    SNB_RETURN_IF_ERROR(GetString(v, "ip", &p.location_ip));
     SNB_RETURN_IF_ERROR(GetTagArray(v, "interests", &p.interests));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "university", &u, kWhat));
-    p.university_id = static_cast<schema::OrganizationId>(u);
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "study_year", &u, kWhat));
-    p.study_year = static_cast<uint16_t>(u);
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "company", &u, kWhat));
-    p.company_id = static_cast<schema::OrganizationId>(u);
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "work_year", &u, kWhat));
-    p.work_year = static_cast<uint16_t>(u);
+    SNB_RETURN_IF_ERROR(GetNarrow(v, "university", &p.university_id));
+    SNB_RETURN_IF_ERROR(GetNarrow(v, "study_year", &p.study_year));
+    SNB_RETURN_IF_ERROR(GetNarrow(v, "company", &p.company_id));
+    SNB_RETURN_IF_ERROR(GetNarrow(v, "work_year", &p.work_year));
     g.persons.push_back(std::move(p));
   }
-  for (const obs::JsonValue& v : knows->array) {
+  for (const JsonValue& v : knows->array) {
     schema::Knows k;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "p1", &k.person1_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "p2", &k.person2_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetI64(v, "since", &k.creation_date, kWhat));
+    SNB_RETURN_IF_ERROR(GetU64(v, "p1", &k.person1_id));
+    SNB_RETURN_IF_ERROR(GetU64(v, "p2", &k.person2_id));
+    SNB_RETURN_IF_ERROR(GetI64(v, "since", &k.creation_date));
     g.knows.push_back(k);
   }
-  for (const obs::JsonValue& v : forums->array) {
+  for (const JsonValue& v : forums->array) {
     schema::Forum f;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "id", &f.id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetString(v, "title", &f.title, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "moderator", &f.moderator_id, kWhat));
-    SNB_RETURN_IF_ERROR(
-        jsonio::GetI64(v, "creation_date", &f.creation_date, kWhat));
+    SNB_RETURN_IF_ERROR(GetU64(v, "id", &f.id));
+    SNB_RETURN_IF_ERROR(GetString(v, "title", &f.title));
+    SNB_RETURN_IF_ERROR(GetU64(v, "moderator", &f.moderator_id));
+    SNB_RETURN_IF_ERROR(GetI64(v, "creation_date", &f.creation_date));
     g.forums.push_back(std::move(f));
   }
-  for (const obs::JsonValue& v : memberships->array) {
+  for (const JsonValue& v : memberships->array) {
     schema::ForumMembership m;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "forum", &m.forum_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "person", &m.person_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetI64(v, "join_date", &m.join_date, kWhat));
+    SNB_RETURN_IF_ERROR(GetU64(v, "forum", &m.forum_id));
+    SNB_RETURN_IF_ERROR(GetU64(v, "person", &m.person_id));
+    SNB_RETURN_IF_ERROR(GetI64(v, "join_date", &m.join_date));
     g.memberships.push_back(m);
   }
-  for (const obs::JsonValue& v : messages->array) {
+  for (const JsonValue& v : messages->array) {
     schema::Message m;
-    uint64_t u = 0;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "id", &m.id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "kind", &u, kWhat));
-    if (u > static_cast<uint64_t>(schema::MessageKind::kPhoto)) {
-      return util::Status::InvalidArgument(std::string(kWhat) +
-                                           ": bad message kind");
+    uint64_t kind = 0;
+    SNB_RETURN_IF_ERROR(GetU64(v, "id", &m.id));
+    SNB_RETURN_IF_ERROR(GetU64(v, "kind", &kind));
+    if (kind > static_cast<uint64_t>(schema::MessageKind::kPhoto)) {
+      return ArtifactError("bad message kind");
     }
-    m.kind = static_cast<schema::MessageKind>(u);
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "creator", &m.creator_id, kWhat));
-    SNB_RETURN_IF_ERROR(
-        jsonio::GetI64(v, "creation_date", &m.creation_date, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "forum", &m.forum_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "reply_to", &m.reply_to_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "root", &m.root_post_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetString(v, "content", &m.content, kWhat));
+    m.kind = static_cast<schema::MessageKind>(kind);
+    SNB_RETURN_IF_ERROR(GetU64(v, "creator", &m.creator_id));
+    SNB_RETURN_IF_ERROR(GetI64(v, "creation_date", &m.creation_date));
+    SNB_RETURN_IF_ERROR(GetU64(v, "forum", &m.forum_id));
+    SNB_RETURN_IF_ERROR(GetU64(v, "reply_to", &m.reply_to_id));
+    SNB_RETURN_IF_ERROR(GetU64(v, "root", &m.root_post_id));
+    SNB_RETURN_IF_ERROR(GetString(v, "content", &m.content));
     SNB_RETURN_IF_ERROR(GetTagArray(v, "tags", &m.tags));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "country", &u, kWhat));
-    m.country_id = static_cast<schema::PlaceId>(u);
+    SNB_RETURN_IF_ERROR(GetNarrow(v, "country", &m.country_id));
     g.messages.push_back(std::move(m));
   }
-  for (const obs::JsonValue& v : likes->array) {
+  for (const JsonValue& v : likes->array) {
     schema::Like l;
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "person", &l.person_id, kWhat));
-    SNB_RETURN_IF_ERROR(jsonio::GetU64(v, "message", &l.message_id, kWhat));
-    SNB_RETURN_IF_ERROR(
-        jsonio::GetI64(v, "creation_date", &l.creation_date, kWhat));
+    SNB_RETURN_IF_ERROR(GetU64(v, "person", &l.person_id));
+    SNB_RETURN_IF_ERROR(GetU64(v, "message", &l.message_id));
+    SNB_RETURN_IF_ERROR(GetI64(v, "creation_date", &l.creation_date));
     g.likes.push_back(l);
   }
   return util::Status::Ok();
@@ -1118,12 +1036,12 @@ util::Status MismatchFromJson(const std::string& json, FuzzMismatch* out) {
 
 util::Status WriteMismatch(const FuzzMismatch& mismatch,
                            const std::string& path) {
-  return obs::WriteFileReport(path, MismatchToJson(mismatch));
+  return util::WriteWholeFile(path, MismatchToJson(mismatch));
 }
 
 util::Status ReadMismatch(const std::string& path, FuzzMismatch* out) {
   std::string text;
-  SNB_RETURN_IF_ERROR(jsonio::ReadWholeFile(path, &text));
+  SNB_RETURN_IF_ERROR(util::ReadWholeFile(path, &text));
   return MismatchFromJson(text, out);
 }
 

@@ -12,7 +12,7 @@
 // On a mismatch the failing graph is shrunk — entities are greedily removed
 // (respecting referential closure) while the mismatch persists — and the
 // minimal reproducer is packaged as a standalone JSON artifact
-// ("snb-fuzz-regression-v1"; older v2 artifacts still load) that embeds
+// ("snb-fuzz-regression-v1", the only tag that loads) that embeds
 // the graph, the binding and both result sets, and can be re-run directly
 // via LoadMismatch + MismatchReproduces.
 #ifndef SNB_VALIDATE_FUZZ_H_
@@ -93,9 +93,8 @@ schema::SocialNetwork GenerateFuzzNetwork(uint64_t seed, int max_persons);
 bool MismatchReproduces(const FuzzMismatch& mismatch,
                         const StorePerturbation& perturb = nullptr);
 
-/// Regression-artifact round-trip. Writes "snb-fuzz-regression-v1";
-/// reading also accepts v2, whose extra store shard count is range-checked
-/// ([1, 8]) and ignored.
+/// Regression-artifact round-trip. Writes and reads only
+/// "snb-fuzz-regression-v1"; any other tag is an unsupported schema.
 std::string MismatchToJson(const FuzzMismatch& mismatch);
 util::Status MismatchFromJson(const std::string& json, FuzzMismatch* out);
 util::Status WriteMismatch(const FuzzMismatch& mismatch,

@@ -7,14 +7,13 @@
 
 #include "driver/connectors.h"
 #include "driver/operation.h"
-#include "obs/report.h"
 #include "queries/complex_queries.h"
 #include "queries/short_queries.h"
 #include "queries/update_queries.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "validate/canonical.h"
-#include "validate/json_io.h"
 
 namespace snb::validate {
 namespace {
@@ -341,9 +340,8 @@ void FillCounts(const store::GraphStore& store, GoldenSegment* segment) {
 
 // ---- JSON helpers ---------------------------------------------------------
 
-using jsonio::AppendEscaped;
-using jsonio::AppendKey;
-using jsonio::AppendU64Field;
+using util::JsonValue;
+using Kind = util::JsonValue::Kind;
 
 constexpr char kWhat[] = "validation set";
 
@@ -351,14 +349,13 @@ util::Status ParseFail(const std::string& what) {
   return util::Status::InvalidArgument(std::string(kWhat) + ": " + what);
 }
 
-util::Status GetU64(const obs::JsonValue& obj, const char* key,
-                    uint64_t* out) {
-  return jsonio::GetU64(obj, key, out, kWhat);
+util::Status GetU64(const JsonValue& obj, const char* key, uint64_t* out) {
+  return util::GetU64(obj, key, out, kWhat);
 }
 
-util::Status GetString(const obs::JsonValue& obj, const char* key,
+util::Status GetString(const JsonValue& obj, const char* key,
                        std::string* out) {
-  return jsonio::GetString(obj, key, out, kWhat);
+  return util::GetString(obj, key, out, kWhat);
 }
 
 // ---- Replay helpers -------------------------------------------------------
@@ -465,91 +462,59 @@ util::Status EmitGoldenSet(const GoldenEmitOptions& options, GoldenSet* out) {
 // ---- Serialization --------------------------------------------------------
 
 std::string GoldenSetToJson(const GoldenSet& golden) {
-  std::string out = "{";
-  AppendKey(&out, "schema");
-  AppendEscaped(&out, kSchemaTag);
-  out += ",";
-  AppendKey(&out, "seed");
-  AppendEscaped(&out, FormatU64(golden.seed));
-  out += ",";
-  AppendU64Field(&out, "num_persons", golden.num_persons);
-  out += ",";
-  AppendKey(&out, "segments");
-  out += "[";
-  for (size_t s = 0; s < golden.segments.size(); ++s) {
-    const GoldenSegment& seg = golden.segments[s];
-    if (s != 0) out += ",";
-    out += "\n{";
-    AppendU64Field(&out, "updates_end", seg.updates_end);
-    out += ",";
-    AppendKey(&out, "counts");
-    out += "{";
-    AppendU64Field(&out, "persons", seg.num_persons);
-    out += ",";
-    AppendU64Field(&out, "knows", seg.num_knows);
-    out += ",";
-    AppendU64Field(&out, "forums", seg.num_forums);
-    out += ",";
-    AppendU64Field(&out, "memberships", seg.num_memberships);
-    out += ",";
-    AppendU64Field(&out, "messages", seg.num_messages);
-    out += ",";
-    AppendU64Field(&out, "likes", seg.num_likes);
-    out += "},";
-    AppendKey(&out, "operations");
-    out += "[";
-    for (size_t i = 0; i < seg.operations.size(); ++i) {
-      const GoldenOp& op = seg.operations[i];
-      if (i != 0) out += ",";
-      out += "\n{";
-      AppendKey(&out, "op");
-      AppendEscaped(&out, op.op);
-      out += ",";
-      AppendKey(&out, "params");
-      AppendEscaped(&out, op.params);
-      out += ",";
-      AppendKey(&out, "rows");
-      out += "[";
-      for (size_t r = 0; r < op.rows.size(); ++r) {
-        if (r != 0) out += ",";
-        AppendEscaped(&out, op.rows[r]);
-      }
-      out += "]}";
+  // One segment and one operation per line, so golden sets diff by line.
+  util::JsonWriter w;
+  w.BeginObject();
+  w.Key("schema").String(kSchemaTag);
+  w.Key("seed").U64String(golden.seed);
+  w.Key("num_persons").U64(golden.num_persons);
+  w.Key("segments").BeginArray();
+  for (const GoldenSegment& seg : golden.segments) {
+    w.Newline().BeginObject();
+    w.Key("updates_end").U64(seg.updates_end);
+    w.Key("counts").BeginObject();
+    w.Key("persons").U64(seg.num_persons);
+    w.Key("knows").U64(seg.num_knows);
+    w.Key("forums").U64(seg.num_forums);
+    w.Key("memberships").U64(seg.num_memberships);
+    w.Key("messages").U64(seg.num_messages);
+    w.Key("likes").U64(seg.num_likes);
+    w.EndObject();
+    w.Key("operations").BeginArray();
+    for (const GoldenOp& op : seg.operations) {
+      w.Newline().BeginObject();
+      w.Key("op").String(op.op);
+      w.Key("params").String(op.params);
+      w.Key("rows").BeginArray();
+      for (const std::string& row : op.rows) w.String(row);
+      w.EndArray().EndObject();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "]}\n";
-  return out;
+  w.EndArray().EndObject();
+  return w.Take() + "\n";
 }
 
 util::Status GoldenSetFromJson(const std::string& json, GoldenSet* out) {
-  obs::JsonValue root;
+  JsonValue root;
   std::string error;
-  if (!obs::ParseJson(json, &root, &error)) {
+  if (!util::ParseJson(json, &root, &error)) {
     return ParseFail("JSON parse error: " + error);
   }
-  std::string schema;
-  SNB_RETURN_IF_ERROR(GetString(root, "schema", &schema));
-  if (schema != kSchemaTag) {
-    return ParseFail("unsupported schema \"" + schema + "\" (want " +
-                     kSchemaTag + ")");
-  }
+  SNB_RETURN_IF_ERROR(util::CheckSchema(root, kSchemaTag, kWhat));
   SNB_RETURN_IF_ERROR(GetU64(root, "seed", &out->seed));
   SNB_RETURN_IF_ERROR(GetU64(root, "num_persons", &out->num_persons));
-  const obs::JsonValue* segments = root.Find("segments");
-  if (segments == nullptr ||
-      segments->kind != obs::JsonValue::Kind::kArray) {
-    return ParseFail("missing \"segments\" array");
-  }
+  const JsonValue* segments = root.Find("segments", Kind::kArray);
+  if (segments == nullptr) return ParseFail("missing \"segments\" array");
   out->segments.clear();
-  for (const obs::JsonValue& seg_value : segments->array) {
-    if (seg_value.kind != obs::JsonValue::Kind::kObject) {
+  for (const JsonValue& seg_value : segments->array) {
+    if (seg_value.kind != Kind::kObject) {
       return ParseFail("segment is not an object");
     }
     GoldenSegment segment;
     SNB_RETURN_IF_ERROR(
         GetU64(seg_value, "updates_end", &segment.updates_end));
-    const obs::JsonValue* counts = seg_value.Find("counts");
+    const JsonValue* counts = seg_value.Find("counts");
     if (counts == nullptr) return ParseFail("missing \"counts\"");
     SNB_RETURN_IF_ERROR(GetU64(*counts, "persons", &segment.num_persons));
     SNB_RETURN_IF_ERROR(GetU64(*counts, "knows", &segment.num_knows));
@@ -558,21 +523,20 @@ util::Status GoldenSetFromJson(const std::string& json, GoldenSet* out) {
         GetU64(*counts, "memberships", &segment.num_memberships));
     SNB_RETURN_IF_ERROR(GetU64(*counts, "messages", &segment.num_messages));
     SNB_RETURN_IF_ERROR(GetU64(*counts, "likes", &segment.num_likes));
-    const obs::JsonValue* operations = seg_value.Find("operations");
-    if (operations == nullptr ||
-        operations->kind != obs::JsonValue::Kind::kArray) {
+    const JsonValue* operations = seg_value.Find("operations", Kind::kArray);
+    if (operations == nullptr) {
       return ParseFail("missing \"operations\" array");
     }
-    for (const obs::JsonValue& op_value : operations->array) {
+    for (const JsonValue& op_value : operations->array) {
       GoldenOp op;
       SNB_RETURN_IF_ERROR(GetString(op_value, "op", &op.op));
       SNB_RETURN_IF_ERROR(GetString(op_value, "params", &op.params));
-      const obs::JsonValue* rows = op_value.Find("rows");
-      if (rows == nullptr || rows->kind != obs::JsonValue::Kind::kArray) {
+      const JsonValue* rows = op_value.Find("rows", Kind::kArray);
+      if (rows == nullptr) {
         return ParseFail("missing \"rows\" array in " + op.op);
       }
-      for (const obs::JsonValue& row : rows->array) {
-        if (row.kind != obs::JsonValue::Kind::kString) {
+      for (const JsonValue& row : rows->array) {
+        if (row.kind != Kind::kString) {
           return ParseFail("non-string row in " + op.op);
         }
         op.rows.push_back(row.string);
@@ -586,12 +550,12 @@ util::Status GoldenSetFromJson(const std::string& json, GoldenSet* out) {
 }
 
 util::Status WriteGoldenSet(const GoldenSet& golden, const std::string& path) {
-  return obs::WriteFileReport(path, GoldenSetToJson(golden));
+  return util::WriteWholeFile(path, GoldenSetToJson(golden));
 }
 
 util::Status ReadGoldenSet(const std::string& path, GoldenSet* out) {
   std::string text;
-  SNB_RETURN_IF_ERROR(jsonio::ReadWholeFile(path, &text));
+  SNB_RETURN_IF_ERROR(util::ReadWholeFile(path, &text));
   return GoldenSetFromJson(text, out);
 }
 

@@ -17,8 +17,8 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       os.pardir, "scripts", "compare_reports.py")
 
 
-def make_report(schema="snb-report-v2", ops_per_second=1000.0, ops=None,
-                on_time_fraction=0.99):
+def make_report(schema="snb-report-v5", ops_per_second=1000.0, ops=None,
+                on_time_fraction=0.99, compliance=True):
     doc = {
         "schema": schema,
         "driver": {"ops_per_second": ops_per_second},
@@ -29,7 +29,7 @@ def make_report(schema="snb-report-v2", ops_per_second=1000.0, ops=None,
              "p50_ms": 0.1, "p95_ms": 0.2, "p99_ms": 0.4},
         ],
     }
-    if schema == "snb-report-v2":
+    if compliance:
         doc["compliance"] = {"on_time_fraction": on_time_fraction}
     return doc
 
@@ -87,15 +87,15 @@ class CompareReportsTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("complex_2 p99_ms", result.stdout)
 
-    def test_v1_baseline_skips_compliance(self):
-        # v1 has no compliance section; a terrible candidate fraction must
-        # not be compared against it.
-        base = self.write("base.json", make_report(schema="snb-report-v1"))
+    def test_baseline_without_compliance_skips_compliance(self):
+        # A baseline with no compliance section: a terrible candidate
+        # fraction must not be compared against it.
+        base = self.write("base.json", make_report(compliance=False))
         cand = self.write("cand.json", make_report(on_time_fraction=0.10))
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
-    def test_compliance_drop_fails_on_v2_pair(self):
+    def test_compliance_drop_fails(self):
         base = self.write("base.json", make_report(on_time_fraction=0.99))
         cand = self.write("cand.json", make_report(on_time_fraction=0.80))
         result = self.run_compare(base, cand)
@@ -108,8 +108,8 @@ class CompareReportsTest(unittest.TestCase):
                  "hw_samples": hw_samples, "ipc": ipc,
                  "llc_miss_per_kinstr": llc_mpki}]
 
-    def test_v4_identical_counter_reports_pass(self):
-        doc = make_report(schema="snb-report-v4", ops=self.hw_ops(2.0, 1.0))
+    def test_identical_counter_reports_pass(self):
+        doc = make_report(ops=self.hw_ops(2.0, 1.0))
         base = self.write("base.json", doc)
         cand = self.write("cand.json", doc)
         result = self.run_compare(base, cand)
@@ -119,26 +119,26 @@ class CompareReportsTest(unittest.TestCase):
         # IPC halves (well past the default 20% drop): the gate must trip
         # even though every wall-clock number is identical.
         base = self.write("base.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(2.0, 1.0)))
+            ops=self.hw_ops(2.0, 1.0)))
         cand = self.write("cand.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(1.0, 1.0)))
+            ops=self.hw_ops(1.0, 1.0)))
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("complex_9 ipc", result.stdout)
 
     def test_small_ipc_wobble_passes(self):
         base = self.write("base.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(2.0, 1.0)))
+            ops=self.hw_ops(2.0, 1.0)))
         cand = self.write("cand.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(1.9, 1.0)))
+            ops=self.hw_ops(1.9, 1.0)))
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
     def test_llc_miss_inflation_fails(self):
         base = self.write("base.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(2.0, 1.0)))
+            ops=self.hw_ops(2.0, 1.0)))
         cand = self.write("cand.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(2.0, 3.0)))
+            ops=self.hw_ops(2.0, 3.0)))
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("llc_miss_per_kinstr", result.stdout)
@@ -147,9 +147,9 @@ class CompareReportsTest(unittest.TestCase):
         # 0.1 -> 0.4 misses/kinstr is 4x relative but only 0.3 absolute —
         # under the 0.5 slack, so near-zero baselines don't trip on noise.
         base = self.write("base.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(2.0, 0.1)))
+            ops=self.hw_ops(2.0, 0.1)))
         cand = self.write("cand.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(2.0, 0.4)))
+            ops=self.hw_ops(2.0, 0.4)))
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
@@ -158,21 +158,21 @@ class CompareReportsTest(unittest.TestCase):
         # against a candidate that happens to carry counters.
         base = self.write("base.json", make_report())
         cand = self.write("cand.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(0.1, 50.0)))
+            ops=self.hw_ops(0.1, 50.0)))
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
     def test_too_few_hw_samples_skips_hw_checks(self):
         base = self.write("base.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(2.0, 1.0)))
+            ops=self.hw_ops(2.0, 1.0)))
         cand = self.write("cand.json", make_report(
-            schema="snb-report-v4", ops=self.hw_ops(0.5, 1.0, hw_samples=2)))
+            ops=self.hw_ops(0.5, 1.0, hw_samples=2)))
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
     def profile_report(self, backend="timer", captured=1000,
                        overhead_ns=10_000, task_clock_ns=10_000_000):
-        doc = make_report(schema="snb-report-v5")
+        doc = make_report()
         doc["profile"] = {
             "backend": backend, "captured": captured,
             "attributed": captured, "unattributed": 0, "dropped": 0,
@@ -230,6 +230,20 @@ class CompareReportsTest(unittest.TestCase):
         cand = self.write("cand.json", make_report())
         result = self.run_compare(base, cand)
         self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+
+    def test_older_report_schemas_are_unsupported(self):
+        # v5 is the one report schema; v1-v4 documents are refused by name
+        # on either side rather than read as subsets.
+        for old in ("snb-report-v1", "snb-report-v2", "snb-report-v3",
+                    "snb-report-v4"):
+            with self.subTest(schema=old):
+                v5 = self.write("v5.json", make_report())
+                older = self.write("old.json", make_report(schema=old))
+                for base, cand in ((older, v5), (v5, older)):
+                    result = self.run_compare(base, cand)
+                    self.assertEqual(result.returncode, 2,
+                                     result.stdout + result.stderr)
+                    self.assertIn("unsupported schema", result.stderr)
 
 
 if __name__ == "__main__":

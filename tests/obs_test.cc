@@ -21,9 +21,13 @@
 #include "store/graph_store.h"
 #include "util/datetime.h"
 #include "util/histogram.h"
+#include "util/json.h"
 
 namespace snb::obs {
 namespace {
+
+using util::JsonValue;
+using util::ParseJson;
 
 // ---- Log buckets ----------------------------------------------------------
 
@@ -227,39 +231,6 @@ TEST(TraceSpanTest, NullSinkIsDisengaged) {
   EXPECT_FALSE(default_constructed.engaged());
 }
 
-// ---- JSON parser ----------------------------------------------------------
-
-TEST(JsonParserTest, ParsesWriterSubset) {
-  JsonValue v;
-  std::string error;
-  ASSERT_TRUE(ParseJson(
-      R"({"s":"a\"b\nc","n":[1,2.5,-3e2],"t":true,"f":false,"z":null})", &v,
-      &error))
-      << error;
-  ASSERT_EQ(v.kind, JsonValue::Kind::kObject);
-  const JsonValue* s = v.Find("s");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->string, "a\"b\nc");
-  const JsonValue* n = v.Find("n");
-  ASSERT_NE(n, nullptr);
-  ASSERT_EQ(n->array.size(), 3u);
-  EXPECT_DOUBLE_EQ(n->array[1].number, 2.5);
-  EXPECT_DOUBLE_EQ(n->array[2].number, -300.0);
-  EXPECT_TRUE(v.Find("t")->boolean);
-  EXPECT_EQ(v.Find("z")->kind, JsonValue::Kind::kNull);
-  EXPECT_EQ(v.Find("missing"), nullptr);
-}
-
-TEST(JsonParserTest, RejectsMalformedInput) {
-  JsonValue v;
-  std::string error;
-  for (const char* bad :
-       {"{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "{}extra", ""}) {
-    EXPECT_FALSE(ParseJson(bad, &v, &error)) << bad;
-    EXPECT_FALSE(error.empty());
-  }
-}
-
 // ---- Report round trip ----------------------------------------------------
 
 RunReport MakeSampleReport() {
@@ -351,16 +322,16 @@ TEST(ReportTest, ValidationCatchesBrokenReports) {
   EXPECT_FALSE(ValidateReportJson("{").ok());
   // Empty ops table.
   EXPECT_FALSE(
-      ValidateReportJson("{\"schema\":\"snb-report-v1\",\"ops\":[]}").ok());
+      ValidateReportJson("{\"schema\":\"snb-report-v5\",\"ops\":[]}").ok());
   // Non-monotone percentiles.
   EXPECT_FALSE(ValidateReportJson(
-                   "{\"schema\":\"snb-report-v1\",\"ops\":[{\"op\":\"x\","
+                   "{\"schema\":\"snb-report-v5\",\"ops\":[{\"op\":\"x\","
                    "\"count\":2,\"p50_ms\":5.0,\"p90_ms\":1.0,"
                    "\"p95_ms\":6.0,\"p99_ms\":7.0,\"max_ms\":8.0}]}")
                    .ok());
   // Zero-count row.
   EXPECT_FALSE(ValidateReportJson(
-                   "{\"schema\":\"snb-report-v1\",\"ops\":[{\"op\":\"x\","
+                   "{\"schema\":\"snb-report-v5\",\"ops\":[{\"op\":\"x\","
                    "\"count\":0,\"p50_ms\":1.0,\"p90_ms\":1.0,"
                    "\"p95_ms\":1.0,\"p99_ms\":1.0,\"max_ms\":1.0}]}")
                    .ok());
@@ -459,14 +430,28 @@ TEST(ReportTest, ValidationChecksComplianceConsistency) {
   EXPECT_FALSE(ValidateReportJson(ToJson(report)).ok());
 }
 
-TEST(ReportTest, ValidatorStillAcceptsV1Documents) {
-  // A v1 reader's document — no compliance section, old schema tag — must
-  // keep validating, so archived baselines stay comparable.
-  EXPECT_TRUE(ValidateReportJson(
-                  "{\"schema\":\"snb-report-v1\",\"ops\":[{\"op\":\"x\","
-                  "\"count\":2,\"p50_ms\":1.0,\"p90_ms\":2.0,"
-                  "\"p95_ms\":3.0,\"p99_ms\":4.0,\"max_ms\":5.0}]}")
-                  .ok());
+// Every section but the op table is optional: a document with nothing
+// else still validates.
+std::string MinimalReport(const std::string& schema) {
+  return "{\"schema\":\"" + schema +
+         "\",\"ops\":[{\"op\":\"x\",\"count\":2,\"p50_ms\":1.0,"
+         "\"p90_ms\":2.0,\"p95_ms\":3.0,\"p99_ms\":4.0,\"max_ms\":5.0}]}";
+}
+
+TEST(ReportTest, ValidatorAcceptsMinimalDocument) {
+  EXPECT_TRUE(ValidateReportJson(MinimalReport("snb-report-v5")).ok());
+}
+
+// v5 is the one schema: older tags are refused by name, not read as a
+// subset.
+TEST(ReportTest, ValidatorRejectsOlderSchemaTags) {
+  for (const char* tag : {"snb-report-v1", "snb-report-v2", "snb-report-v3",
+                          "snb-report-v4"}) {
+    util::Status st = ValidateReportJson(MinimalReport(tag));
+    EXPECT_FALSE(st.ok()) << tag;
+    EXPECT_NE(st.message().find("unsupported schema"), std::string::npos)
+        << st.message();
+  }
 }
 
 // ---- Profile section (v5) -------------------------------------------------

@@ -1,5 +1,5 @@
 // Tests of the hardware-counter subsystem (obs/perf_counters.h), the
-// slow-query dossier collector, and their report.json v4 surface.
+// slow-query dossier collector, and their report.json surface.
 //
 // The central contract under test is graceful degradation: a forced
 // perf_event_open failure (ENOSYS, EACCES — the container/CI reality)
@@ -19,6 +19,7 @@
 #include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace snb::obs {
 namespace {
@@ -26,6 +27,8 @@ namespace {
 using perf::Backend;
 using perf::HwCounts;
 using perf::HwMetric;
+using util::JsonValue;
+using util::ParseJson;
 
 /// Restores the subsystem to kDisabled and clears test hooks, whatever a
 /// test did to it.
@@ -256,7 +259,7 @@ TEST(DossierCollectorTest, ZeroKeepIsClampedToOne) {
   EXPECT_EQ(collector.Snapshot()[0].latency_ns, 20u);
 }
 
-// ---- Report v4 surface ----------------------------------------------------
+// ---- Report surface -------------------------------------------------------
 
 /// A minimal metrics snapshot so reports validate (non-empty op table).
 MetricsSnapshot OneOpSnapshot() {

@@ -2,7 +2,9 @@
 #include <atomic>
 #include <cmath>
 #include <ctime>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "util/datetime.h"
 #include "util/distributions.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -376,6 +379,211 @@ TEST(StringUtilTest, JoinAndSplit) {
   std::vector<std::string> parts = Split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[2], "");
+}
+
+// ---- JSON parser ---------------------------------------------------------
+//
+// The malformed-input table runs under ASan and UBSan too (util_test
+// carries the concurrency label that scripts/check.sh rebuilds).
+
+TEST(JsonParserTest, ParsesWriterSubset) {
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(ParseJson(
+      R"({"s":"a\"b\nc","n":[1,2.5,-3e2],"t":true,"f":false,"z":null})", &v,
+      &error))
+      << error;
+  ASSERT_EQ(v.kind, JsonValue::Kind::kObject);
+  const JsonValue* s = v.Find("s");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->string, "a\"b\nc");
+  const JsonValue* n = v.Find("n");
+  ASSERT_NE(n, nullptr);
+  ASSERT_EQ(n->array.size(), 3u);
+  EXPECT_DOUBLE_EQ(n->array[1].number, 2.5);
+  EXPECT_DOUBLE_EQ(n->array[2].number, -300.0);
+  EXPECT_TRUE(v.Find("t")->boolean);
+  EXPECT_EQ(v.Find("z")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(v.Find("missing"), nullptr);
+  EXPECT_EQ(v.Find("s", JsonValue::Kind::kNumber), nullptr);
+  EXPECT_DOUBLE_EQ(v.NumberOr("t", -1.0), -1.0);
+}
+
+TEST(JsonParserTest, RejectsMalformedInput) {
+  JsonValue v;
+  std::string error;
+  for (const char* bad :
+       {"{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "{}extra", "",
+        // Numbers outside the JSON grammar: strtod would take all of these.
+        "inf", "-inf", "nan", "Infinity", "0x10", "+1", "01", "1.", ".5",
+        "1e", "1e+", "-", "1e400",
+        // Raw control character inside a string; whitespace JSON lacks.
+        "\"a\tb\"", "\v1"}) {
+    error.clear();
+    EXPECT_FALSE(ParseJson(bad, &v, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+}
+
+TEST(JsonParserTest, RejectsNestingPastTheBound) {
+  JsonValue v;
+  std::string error;
+  // Deep enough to overflow the stack of a recursive parser with no bound.
+  std::string deep(50000, '[');
+  EXPECT_FALSE(ParseJson(deep, &v, &error));
+  EXPECT_NE(error.find("nesting deeper than 64 levels"), std::string::npos)
+      << error;
+
+  std::string at_bound = std::string(kMaxJsonDepth, '[') +
+                         std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseJson(at_bound, &v, &error)) << error;
+  std::string past_bound = "{\"a\":" + at_bound + "}";
+  EXPECT_FALSE(ParseJson(past_bound, &v, &error));
+  EXPECT_NE(error.find("nesting deeper"), std::string::npos) << error;
+}
+
+TEST(JsonParserTest, RejectsUnicodeEscapesAboveOneByte) {
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(ParseJson(R"("\u0041\u00e9\u001f")", &v, &error)) << error;
+  EXPECT_EQ(v.string, "A\xe9\x1f");
+  // U+0141 does not fit one byte: refused, not truncated to 'A'.
+  EXPECT_FALSE(ParseJson(R"("\u0141")", &v, &error));
+  EXPECT_NE(error.find("\\u escape above 00FF"), std::string::npos) << error;
+}
+
+// ---- JSON typed reads ----------------------------------------------------
+
+JsonValue ParseOrDie(const std::string& text) {
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(ParseJson(text, &v, &error)) << error;
+  return v;
+}
+
+TEST(JsonGetterTest, U64AcceptsDecimalNumbersAndStrings) {
+  JsonValue v = ParseOrDie(
+      R"({"n":42,"s":"7","max":18446744073709551615,)"
+      R"("smax":"18446744073709551615"})");
+  uint64_t out = 0;
+  ASSERT_TRUE(GetU64(v, "n", &out, "doc").ok());
+  EXPECT_EQ(out, 42u);
+  ASSERT_TRUE(GetU64(v, "s", &out, "doc").ok());
+  EXPECT_EQ(out, 7u);
+  ASSERT_TRUE(GetU64(v, "max", &out, "doc").ok());
+  EXPECT_EQ(out, std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(GetU64(v, "smax", &out, "doc").ok());
+  EXPECT_EQ(out, std::numeric_limits<uint64_t>::max());
+}
+
+TEST(JsonGetterTest, U64RejectsNonDecimalString) {
+  JsonValue v = ParseOrDie(R"({"a":"abc","b":"","c":" 1","d":"+1"})");
+  uint64_t out = 0;
+  for (const char* key : {"a", "b", "c", "d"}) {
+    util::Status st = GetU64(v, key, &out, "doc");
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(st.message().find("is not a decimal integer"),
+              std::string::npos)
+        << st.message();
+  }
+}
+
+TEST(JsonGetterTest, U64RejectsNegativeValues) {
+  JsonValue v = ParseOrDie(R"({"n":-5,"s":"-5"})");
+  uint64_t out = 0;
+  for (const char* key : {"n", "s"}) {
+    util::Status st = GetU64(v, key, &out, "doc");
+    EXPECT_FALSE(st.ok()) << key;
+    EXPECT_NE(st.message().find("is negative"), std::string::npos)
+        << st.message();
+  }
+}
+
+TEST(JsonGetterTest, U64RejectsFractions) {
+  JsonValue v = ParseOrDie(R"({"f":1.5,"e":1e3,"s":"1.5"})");
+  uint64_t out = 0;
+  for (const char* key : {"f", "e", "s"}) {
+    EXPECT_FALSE(GetU64(v, key, &out, "doc").ok()) << key;
+  }
+}
+
+TEST(JsonGetterTest, U64RejectsOutOfRange) {
+  JsonValue v = ParseOrDie(
+      R"({"n":18446744073709551616,"s":"18446744073709551616"})");
+  uint64_t out = 0;
+  for (const char* key : {"n", "s"}) {
+    util::Status st = GetU64(v, key, &out, "doc");
+    EXPECT_FALSE(st.ok()) << key;
+    EXPECT_NE(st.message().find("is out of range"), std::string::npos)
+        << st.message();
+  }
+}
+
+TEST(JsonGetterTest, I64ReadsSignedRangeExactly) {
+  JsonValue v = ParseOrDie(
+      R"({"min":-9223372036854775808,"s":"-12","over":9223372036854775808,)"
+      R"("f":-1.5,"b":true})");
+  int64_t out = 0;
+  ASSERT_TRUE(GetI64(v, "min", &out, "doc").ok());
+  EXPECT_EQ(out, std::numeric_limits<int64_t>::min());
+  ASSERT_TRUE(GetI64(v, "s", &out, "doc").ok());
+  EXPECT_EQ(out, -12);
+  EXPECT_FALSE(GetI64(v, "over", &out, "doc").ok());
+  EXPECT_FALSE(GetI64(v, "f", &out, "doc").ok());
+  util::Status st = GetI64(v, "b", &out, "doc");
+  EXPECT_NE(st.message().find("is not a number"), std::string::npos)
+      << st.message();
+  st = GetI64(v, "missing", &out, "doc");
+  EXPECT_EQ(st.message(), "doc: field \"missing\" is missing");
+}
+
+// ---- JSON writer ---------------------------------------------------------
+
+TEST(JsonWriterTest, SeparatorsAndNewlines) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("a").BeginArray().U64(1).I64(-2).EndArray();
+  w.Newline().Key("b").BeginArray();
+  w.Newline().BeginObject().Key("x").Bool(true).EndObject();
+  w.Newline().BeginObject().EndObject();
+  w.Newline().EndArray();
+  w.Key("c").BeginArray().EndArray();
+  w.EndObject();
+  EXPECT_EQ(w.Take(),
+            "{\"a\":[1,-2],\n\"b\":[\n{\"x\":true},\n{}\n],\"c\":[]}");
+  // Take() leaves the writer ready for a new document.
+  w.BeginArray().String("x").EndArray();
+  EXPECT_EQ(w.Take(), "[\"x\"]");
+}
+
+TEST(JsonWriterTest, NumberFormats) {
+  JsonWriter w;
+  w.BeginArray();
+  w.Double(0.1).Double(1234567.0).Double(1e-7).Double(-0.0);
+  w.Double(std::nan("")).Double(INFINITY);
+  w.Fixed(2.5, 3).Fixed(-1.23449, 4).Fixed(NAN, 3);
+  w.U64(std::numeric_limits<uint64_t>::max());
+  w.I64(std::numeric_limits<int64_t>::min());
+  w.U64String(12345678901234567890ull);
+  w.EndArray();
+  EXPECT_EQ(w.Take(),
+            "[0.1,1.23457e+06,1e-07,-0,0,0,2.500,-1.2345,0.000,"
+            "18446744073709551615,-9223372036854775808,"
+            "\"12345678901234567890\"]");
+}
+
+TEST(JsonWriterTest, EscapesAndRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all.push_back(static_cast<char>(c));
+  JsonWriter w;
+  w.BeginObject().Key("k\"\n").String(all).EndObject();
+  std::string doc = w.Take();
+  EXPECT_NE(doc.find("\"k\\\"\\n\":"), std::string::npos);
+  EXPECT_NE(doc.find("\\u0001"), std::string::npos);
+  EXPECT_NE(doc.find("\\t"), std::string::npos);
+  JsonValue v = ParseOrDie(doc);
+  ASSERT_NE(v.Find("k\"\n"), nullptr);
+  EXPECT_EQ(v.Find("k\"\n")->string, all);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "validate/fuzz.h"
 
@@ -127,16 +128,13 @@ TEST(FuzzArtifactTest, RejectsForeignAndCorruptDocuments) {
       MismatchFromJson("{\"schema\":\"snb-fuzz-regression-v1\"}", &out).ok());
 }
 
-// Artifacts are written as v1. v2 artifacts (written while the store could
-// be sharded) carry an extra shard count: it must be in [1, 8] and is then
-// ignored, so a v2 reproducer loads and replays on the one store layout.
-TEST(FuzzArtifactTest, ShardCountRoundTripsAndV1StaysAccepted) {
-  // A genuine Q13 counterexample: the perturbed store answers 5 where the
-  // oracle's shortest path between the two friends is 1.
-  StorePerturbation wrong_distance = [](const std::string& op,
-                                        std::vector<std::string>* rows) {
-    if (op == "complex.Q13") *rows = {"5"};
-  };
+// A genuine Q13 counterexample: the perturbed store answers 5 where the
+// oracle's shortest path between the two friends is 1.
+void WrongDistance(const std::string& op, std::vector<std::string>* rows) {
+  if (op == "complex.Q13") *rows = {"5"};
+}
+
+FuzzMismatch Q13Counterexample() {
   FuzzMismatch m;
   m.graph_seed = 7;
   m.backend = "store";
@@ -155,9 +153,14 @@ TEST(FuzzArtifactTest, ShardCountRoundTripsAndV1StaysAccepted) {
   b.last_name = "Person";
   m.graph.persons = {a, b};
   m.graph.knows = {{1, 2, 100}};
-  ASSERT_TRUE(MismatchReproduces(m, wrong_distance));
+  return m;
+}
 
-  // A new artifact is v1 and round-trips.
+// Artifacts are written and read as v1, the one artifact schema.
+TEST(FuzzArtifactTest, V1RoundTripsAndReproduces) {
+  FuzzMismatch m = Q13Counterexample();
+  ASSERT_TRUE(MismatchReproduces(m, WrongDistance));
+
   std::string v1 = MismatchToJson(m);
   ASSERT_NE(v1.find("\"snb-fuzz-regression-v1\""), std::string::npos);
   FuzzMismatch loaded;
@@ -169,35 +172,54 @@ TEST(FuzzArtifactTest, ShardCountRoundTripsAndV1StaysAccepted) {
   EXPECT_EQ(loaded.graph.persons.size(), 2u);
   EXPECT_EQ(loaded.graph.knows.size(), 1u);
   EXPECT_EQ(MismatchToJson(loaded), v1);
+  EXPECT_TRUE(MismatchReproduces(loaded, WrongDistance));
+  EXPECT_FALSE(MismatchReproduces(loaded));
+}
 
-  // Upgrade the document to v2 by hand: new tag plus a shard count.
-  auto as_v2 = [&v1](const std::string& count) {
-    std::string v2 = v1;
-    size_t tag = v2.find("snb-fuzz-regression-v1");
-    v2.replace(tag, 22, "snb-fuzz-regression-v2");
-    size_t backend = v2.find("\"backend\"");
-    v2.insert(backend, "\"shard_count\":" + count + ",");
-    return v2;
+// v2 artifacts (written while the store could be sharded, with an extra
+// shard count) are no longer read: the tag is refused by name.
+TEST(FuzzArtifactTest, RejectsOlderV2Tag) {
+  std::string v2 = MismatchToJson(Q13Counterexample());
+  v2.replace(v2.find("snb-fuzz-regression-v1"), 22, "snb-fuzz-regression-v2");
+  v2.insert(v2.find("\"backend\""), "\"shard_count\":4,");
+  FuzzMismatch out;
+  util::Status st = MismatchFromJson(v2, &out);
+  EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unsupported schema \"snb-fuzz-regression-v2\""),
+            std::string::npos)
+      << st.message();
+}
+
+// Array elements are kind-checked: a tag must be an in-range integer
+// number and a result row a string, never read as 0 or "" unchecked.
+TEST(FuzzArtifactTest, RejectsMistypedTagsAndRows) {
+  FuzzMismatch m = Q13Counterexample();
+  m.graph.persons[0].interests = {3};
+  std::string good = MismatchToJson(m);
+  FuzzMismatch out;
+  ASSERT_TRUE(MismatchFromJson(good, &out).ok());
+  EXPECT_EQ(out.graph.persons[0].interests, std::vector<schema::TagId>{3});
+
+  auto with = [&good](const std::string& from, const std::string& to) {
+    std::string doc = good;
+    size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return doc.replace(at, from.size(), to);
   };
-  FuzzMismatch from_v2;
-  ASSERT_TRUE(MismatchFromJson(as_v2("4"), &from_v2).ok());
-  EXPECT_EQ(from_v2.graph.persons.size(), 2u);
-  EXPECT_TRUE(MismatchReproduces(from_v2, wrong_distance));
-  EXPECT_FALSE(MismatchReproduces(from_v2));
-
-  // Out-of-range v2 counts are rejected with the loader's specific status.
-  for (const char* count : {"0", "9"}) {
-    util::Status st = MismatchFromJson(as_v2(count), &from_v2);
-    EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument) << count;
-    EXPECT_NE(st.message().find("shard_count out of range [1, 8]"),
+  for (const char* tags : {"[\"3\"]", "[1.5]", "[-1]", "[4294967296]"}) {
+    util::Status st = MismatchFromJson(
+        with("\"interests\":[3]", std::string("\"interests\":") + tags), &out);
+    EXPECT_FALSE(st.ok()) << tags;
+    EXPECT_NE(st.message().find("element of \"interests\""),
               std::string::npos)
         << st.message();
   }
-
-  // v1 still loads (the same document v1 readers always accepted).
-  FuzzMismatch from_v1;
-  ASSERT_TRUE(MismatchFromJson(v1, &from_v1).ok());
-  EXPECT_TRUE(MismatchReproduces(from_v1, wrong_distance));
+  util::Status st =
+      MismatchFromJson(with("\"expected\":[\"1\"]", "\"expected\":[1]"), &out);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("element of \"expected\" is not a string"),
+            std::string::npos)
+      << st.message();
 }
 
 }  // namespace

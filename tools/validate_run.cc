@@ -16,7 +16,7 @@
 //     the update segments through the real driver at the requested thread
 //     count and execution mode, re-runs the battery and diffs every
 //     canonical row; the serial emission must replay byte-identically.
-//     Writes report.json (schema snb-report-v3) with the "validation"
+//     Writes report.json (schema snb-report-v5) with the "validation"
 //     section and the replayed updates' latency table.
 //     --mutate injects a result corruption for the named op (e.g.
 //     "complex.Q9") — the mutation test: a replay so poisoned MUST fail.
@@ -31,6 +31,7 @@
 #include "driver/driver.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "util/json.h"
 #include "validate/canonical.h"
 #include "validate/golden.h"
 
@@ -136,7 +137,7 @@ int RunReplay(const std::string& golden_path, const std::string& report_path,
                    st.message().c_str());
       return 1;
     }
-    st = obs::WriteFileReport(report_path, json);
+    st = util::WriteWholeFile(report_path, json);
     if (!st.ok()) {
       std::fprintf(stderr, "cannot write %s: %s\n", report_path.c_str(),
                    st.message().c_str());
